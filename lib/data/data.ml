@@ -22,14 +22,15 @@ let segments_of_digit = function
   | 9 -> [ 'a'; 'b'; 'c'; 'd'; 'f'; 'g' ]
   | d -> invalid_arg (Printf.sprintf "Data.digit_glyph: %d" d)
 
-(* Draw the glyph in a 10x6 box centered in the 12x12 sprite. *)
-let digit_glyph d =
+(* Draw the glyph in a 10x6 box centered in the 12x12 sprite, as a flat
+   row-major table. *)
+let render_glyph d =
   let segs = segments_of_digit d in
   let on seg = List.mem seg segs in
   let top = 1 and left = 3 in
   let h = 10 and w = 6 in
-  Tensor.init [| sprite_side; sprite_side |] (fun ix ->
-      let r = ix.(0) - top and c = ix.(1) - left in
+  Array.init sprite_dim (fun i ->
+      let r = (i / sprite_side) - top and c = (i mod sprite_side) - left in
       if r < 0 || r >= h || c < 0 || c >= w then 0.
       else begin
         let mid = h / 2 in
@@ -45,49 +46,80 @@ let digit_glyph d =
         if hit then 1. else 0.
       end)
 
-let shift_image img dr dc =
-  let side = (Tensor.shape img).(0) in
-  Tensor.init [| side; side |] (fun ix ->
-      let r = ix.(0) - dr and c = ix.(1) - dc in
-      if r < 0 || r >= side || c < 0 || c >= side then 0.
-      else Tensor.get img [| r; c |])
+let glyphs = Array.init 10 render_glyph
 
-let flip_pixels key rate img =
-  let u = Prng.uniform_tensor key (Tensor.shape img) in
-  Tensor.map2 (fun ui xi -> if ui < rate then 1. -. xi else xi) u img
+(* A patch cell is on when any source pixel of the 2x2 block it covers
+   (nearest-neighbour downsample of the 12x12 glyph to 6x6) is on. *)
+let patches =
+  let f = sprite_side / patch_side in
+  Array.map
+    (fun g ->
+      Array.init (patch_side * patch_side) (fun i ->
+          let r = i / patch_side * f and c = i mod patch_side * f in
+          let any = ref 0. in
+          for dr = 0 to f - 1 do
+            for dc = 0 to f - 1 do
+              if g.(((r + dr) * sprite_side) + c + dc) > 0.5 then any := 1.
+            done
+          done;
+          !any))
+    glyphs
 
-let sprite ?(noise = 0.02) key d =
+let check_digit d =
+  if d < 0 || d > 9 then invalid_arg (Printf.sprintf "Data.digit_glyph: %d" d)
+
+let check_count name n =
+  if n < 0 then invalid_arg (Printf.sprintf "Data.%s: negative count %d" name n)
+
+let digit_glyph d =
+  check_digit d;
+  Tensor.of_array [| sprite_side; sprite_side |] glyphs.(d)
+
+let patch_glyph d =
+  check_digit d;
+  Tensor.of_array [| patch_side; patch_side |] patches.(d)
+
+(* Write the sprite of [digit] under [key] into [out.(off ..
+   off + sprite_dim - 1)]: the glyph shifted by (dr, dc), each pixel
+   flipped where its uniform draw falls below [noise]. The draws land in
+   the output slots first and are replaced by the pixels they decide. *)
+let sprite_into noise key digit out off =
   let k1, rest = Prng.split key in
   let k2, k3 = Prng.split rest in
   let dr = Prng.categorical k1 [| 1.; 1.; 1. |] - 1 in
   let dc = Prng.categorical k2 [| 1.; 1.; 1. |] - 1 in
-  flip_pixels k3 noise (shift_image (digit_glyph d) dr dc)
+  let g = glyphs.(digit) in
+  Prng.uniform_into k3 out off sprite_dim;
+  for r = 0 to sprite_side - 1 do
+    let sr = r - dr in
+    for c = 0 to sprite_side - 1 do
+      let sc = c - dc in
+      let x =
+        if sr < 0 || sr >= sprite_side || sc < 0 || sc >= sprite_side then 0.
+        else g.((sr * sprite_side) + sc)
+      in
+      let i = off + (r * sprite_side) + c in
+      out.(i) <- (if out.(i) < noise then 1. -. x else x)
+    done
+  done
 
-let digit_batch ?noise key n =
+let default_noise = 0.02
+
+let sprite ?(noise = default_noise) key d =
+  check_digit d;
+  let out = Array.make sprite_dim 0. in
+  sprite_into noise key d out 0;
+  Tensor.of_array [| sprite_side; sprite_side |] out
+
+let digit_batch ?(noise = default_noise) key n =
+  check_count "digit_batch" n;
   let ks = Prng.split_many key n in
   let labels = Array.map (fun k -> Prng.categorical k (Array.make 10 1.)) ks in
-  let images =
-    Array.to_list
-      (Array.mapi
-         (fun i k -> Tensor.flatten (sprite ?noise (Prng.fold_in k 1) labels.(i)))
-         ks)
-  in
-  (Tensor.stack0 images, labels)
-
-(* Nearest-neighbour downsample of the 12x12 glyph to 6x6. *)
-let patch_glyph d =
-  let g = digit_glyph d in
-  Tensor.init [| patch_side; patch_side |] (fun ix ->
-      let r = ix.(0) * sprite_side / patch_side in
-      let c = ix.(1) * sprite_side / patch_side in
-      (* A patch cell is on when any covered source pixel is on. *)
-      let any = ref 0. in
-      for dr = 0 to (sprite_side / patch_side) - 1 do
-        for dc = 0 to (sprite_side / patch_side) - 1 do
-          if Tensor.get g [| r + dr; c + dc |] > 0.5 then any := 1.
-        done
-      done;
-      !any)
+  let out = Array.make (n * sprite_dim) 0. in
+  Array.iteri
+    (fun i k -> sprite_into noise (Prng.fold_in k 1) labels.(i) out (i * sprite_dim))
+    ks;
+  (Tensor.of_array [| n; sprite_dim |] out, labels)
 
 let position_offset i =
   if i < 0 || i >= num_positions then
@@ -95,24 +127,33 @@ let position_offset i =
   let step = canvas_side - patch_side in
   (i / 2 * step, i mod 2 * step)
 
-let render_scene objs =
-  let canvas = Array.make canvas_dim 0. in
+(* Compose the objects onto the zeroed canvas [out.(off .. off +
+   canvas_dim - 1)]. *)
+let render_into objs out off =
   List.iter
     (fun (digit, pos) ->
-      let patch = patch_glyph digit in
+      check_digit digit;
+      let patch = patches.(digit) in
       let r0, c0 = position_offset pos in
       for r = 0 to patch_side - 1 do
         for c = 0 to patch_side - 1 do
-          let p = Tensor.get patch [| r; c |] in
-          let i = ((r0 + r) * canvas_side) + (c0 + c) in
+          let p = patch.((r * patch_side) + c) in
+          let i = off + ((r0 + r) * canvas_side) + (c0 + c) in
           (* Probabilistic OR keeps overlaps in [0, 1]. *)
-          canvas.(i) <- 1. -. ((1. -. canvas.(i)) *. (1. -. p))
+          out.(i) <- 1. -. ((1. -. out.(i)) *. (1. -. p))
         done
       done)
-    objs;
+    objs
+
+let render_scene objs =
+  let canvas = Array.make canvas_dim 0. in
+  render_into objs canvas 0;
   Tensor.of_array [| canvas_side; canvas_side |] canvas
 
-let air_scene key =
+(* Write a random scene into [out.(off .. off + canvas_dim - 1)] and
+   return its object count; [flips] is a [canvas_dim] scratch buffer for
+   the pixel-flip draws. *)
+let scene_into key flips out off =
   let k1, rest = Prng.split key in
   let k2, k3 = Prng.split rest in
   let count = Prng.categorical k1 (Array.make (max_objects + 1) 1.) in
@@ -122,13 +163,29 @@ let air_scene key =
         let digit = Prng.categorical (Prng.fold_in k3 i) (Array.make 10 1.) in
         (digit, positions.(i)))
   in
-  let img = flip_pixels (Prng.fold_in k3 99) 0.01 (render_scene objs) in
-  (Tensor.flatten img, count)
+  render_into objs out off;
+  Prng.uniform_into (Prng.fold_in k3 99) flips 0 canvas_dim;
+  for i = 0 to canvas_dim - 1 do
+    let x = out.(off + i) in
+    out.(off + i) <- (if flips.(i) < 0.01 then 1. -. x else x)
+  done;
+  count
+
+let air_scene key =
+  let out = Array.make canvas_dim 0. in
+  let count = scene_into key (Array.make canvas_dim 0.) out 0 in
+  (Tensor.of_array [| canvas_dim |] out, count)
 
 let air_batch key n =
-  let ks = Prng.split_many key n in
-  let scenes = Array.map air_scene ks in
-  (Tensor.stack0 (Array.to_list (Array.map fst scenes)), Array.map snd scenes)
+  check_count "air_batch" n;
+  let flips = Array.make canvas_dim 0. in
+  let out = Array.make (n * canvas_dim) 0. in
+  let counts =
+    Array.mapi
+      (fun i k -> scene_into k flips out (i * canvas_dim))
+      (Prng.split_many key n)
+  in
+  (Tensor.of_array [| n; canvas_dim |] out, counts)
 
 let as_square img =
   match Tensor.rank img with

@@ -5,7 +5,15 @@
     rendered seven-segment digit sprites with random jitter and pixel
     noise — binary images exercising the same code paths (Bernoulli
     pixel likelihoods, discrete object counts, continuous pose /
-    style latents). All generators are deterministic in the PRNG key. *)
+    style latents). All generators are deterministic in the PRNG key.
+
+    Stream guarantee: for every key, size and noise rate, the generators
+    return the same bits as the reference pipeline they replaced (render
+    the glyph, shift it, draw a [Prng.uniform_tensor] flip mask, stack
+    the rows); the test suite keeps that pipeline as its oracle and pins
+    [digit_batch (Prng.key 0) 256] with a checksum. Glyphs and patches
+    are rendered once into flat tables, and each sprite or scene is
+    written straight into the batch buffer. *)
 
 val sprite_side : int
 (** Sprite height/width (12). *)
@@ -32,16 +40,22 @@ val max_objects : int
 
 val digit_glyph : int -> Tensor.t
 (** The clean [sprite_side] x [sprite_side] binary glyph for a digit
-    class in [0, 9] (seven-segment rendering). *)
+    class in [0, 9] (seven-segment rendering).
+    @raise Invalid_argument ["Data.digit_glyph: d"] outside [0, 9]. *)
 
 val sprite : ?noise:float -> Prng.key -> int -> Tensor.t
 (** A jittered sprite: the glyph shifted by up to one pixel in each
-    direction with independent pixel flips (default rate 0.02). *)
+    direction with independent pixel flips (default rate 0.02).
+    @raise Invalid_argument as {!digit_glyph}. *)
 
 val digit_batch :
   ?noise:float -> Prng.key -> int -> Tensor.t * int array
 (** [digit_batch key n]: a batch of flattened sprites (shape
-    [n x sprite_dim]) with their digit labels. *)
+    [n x sprite_dim]) with their digit labels. Row [i] is
+    [sprite ?noise (Prng.fold_in k 1) l] with [k] the [i]-th key of
+    [Prng.split_many key n] and [l] its label. [n = 0] gives a
+    [0 x sprite_dim] tensor and no labels.
+    @raise Invalid_argument when [n < 0]. *)
 
 (** {1 AIR scenes} *)
 
@@ -63,7 +77,9 @@ val air_scene : Prng.key -> Tensor.t * int
 
 val air_batch : Prng.key -> int -> Tensor.t * int array
 (** [air_batch key n]: flattened canvases (shape [n x canvas_dim]) with
-    true counts. *)
+    true counts; row [i] is [air_scene] under the [i]-th key of
+    [Prng.split_many key n]. [n = 0] gives a [0 x canvas_dim] tensor.
+    @raise Invalid_argument when [n < 0]. *)
 
 (** {1 Quadrants (conditional VAE)} *)
 

@@ -132,9 +132,27 @@ let batched_scalar ?reparam_n ~sample ~log_density_n () =
    data-indexed (one row per instance) when its leading dimension equals
    the instance count and it has rank >= 2; otherwise the whole
    parameter is shared by every instance (a plate lift). *)
-let param_row v n i =
+let data_indexed v n =
   let s = Tensor.shape v in
-  if Array.length s >= 2 && s.(0) = n then Tensor.slice0 v i else v
+  Array.length s >= 2 && s.(0) = n
+
+(* Shape of one instance's slice of [v] (see [data_indexed]). *)
+let row_shape v n =
+  let s = Tensor.shape v in
+  if data_indexed v n then Array.sub s 1 (Array.length s - 1) else s
+
+(* [n] rows of [row] draws written into one [n x row] buffer, row [i]
+   with [into] under [Prng.fold_in key i] — the stack of the per-row
+   tensor draws, without building the rows. [finish out off m] may
+   rewrite the [m] slots of a row in place once it is drawn. *)
+let draw_rows ?(finish = fun _ _ _ -> ()) into key n row =
+  let m = Array.fold_left ( * ) 1 row in
+  let out = Array.make (n * m) 0. in
+  for i = 0 to n - 1 do
+    into (Prng.fold_in key i) out (i * m) m;
+    finish out (i * m) m
+  done;
+  Tensor.of_array (Array.append [| n |] row) out
 
 (* Normal *)
 
@@ -632,26 +650,19 @@ let log_density_n_mv_normal_diag ~mean ~std x =
   - log_std
   - Ad.scalar (0.5 *. per_dim *. log_2pi)
 
+(* Row [i] of [eps] is [Prng.normal_tensor (Prng.fold_in key i)] at
+   the mean's row shape, so [mean + std * eps] (broadcasting a shared
+   parameter over the instance axis) is, row for row, the scalar
+   sampler's [Prng.normal_tensor_mean_std] under that key. *)
 let batched_mv_normal_diag mean std =
   let mean_v = Ad.value mean and std_v = Ad.value std in
+  let eps key n = draw_rows Prng.normal_into key n (row_shape mean_v n) in
   { sample_n =
       (fun key n ->
-        Ad.const
-          (Tensor.stack0
-             (List.init n (fun i ->
-                  Prng.normal_tensor_mean_std (Prng.fold_in key i)
-                    (param_row mean_v n i) (param_row std_v n i)))));
+        Ad.const (Tensor.add mean_v (Tensor.mul std_v (eps key n))));
     log_density_n = log_density_n_mv_normal_diag ~mean ~std;
     reparam_n =
-      Some
-        (fun key n ->
-          let eps =
-            Tensor.stack0
-              (List.init n (fun i ->
-                   Prng.normal_tensor (Prng.fold_in key i)
-                     (Tensor.shape (param_row mean_v n i))))
-          in
-          Ad.O.(mean + (std * Ad.const eps)));
+      Some (fun key n -> Ad.O.(mean + (std * Ad.const (eps key n))));
     stack = stack_real;
     unstack = unstack_real }
 
@@ -684,14 +695,18 @@ let batched_bernoulli ~probs_of ~elementwise params =
   { sample_n =
       (fun key n ->
         let params_v = Ad.value params in
+        (* [probs_of] is elementwise, so mapping it over every row at once
+           gives each row's probabilities bit for bit. *)
+        let p = Tensor.to_array (probs_of params_v) in
+        let indexed = data_indexed params_v n in
+        let finish out off m =
+          let poff = if indexed then off else 0 in
+          for j = 0 to m - 1 do
+            out.(off + j) <- (if out.(off + j) < p.(poff + j) then 1. else 0.)
+          done
+        in
         Ad.const
-          (Tensor.stack0
-             (List.init n (fun i ->
-                  let p = probs_of (param_row params_v n i) in
-                  let u =
-                    Prng.uniform_tensor (Prng.fold_in key i) (Tensor.shape p)
-                  in
-                  Tensor.map2 (fun ui pi -> if ui < pi then 1. else 0.) u p))));
+          (draw_rows ~finish Prng.uniform_into key n (row_shape params_v n)));
     log_density_n = (fun x -> reduce_tail (elementwise x));
     reparam_n = None;
     stack = stack_real;

@@ -6,7 +6,7 @@ type key = int64
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
       0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -20,21 +20,24 @@ let split k =
   let b = mix64 (Int64.add k (Int64.mul golden 2L)) in
   (a, b)
 
-let split_many k n =
-  Array.init n (fun i ->
-      mix64 (Int64.add k (Int64.mul golden (Int64.of_int (i + 1)))))
+(* Child [i] of [split_many k n]; the draw kernels below inline it so
+   the key never leaves a register. *)
+let[@inline] child k i =
+  mix64 (Int64.add k (Int64.mul golden (Int64.of_int (i + 1))))
+
+let split_many k n = Array.init n (fun i -> child k i)
 
 let fold_in k i =
   mix64 (Int64.add (Int64.logxor k (mix64 (Int64.of_int i))) golden)
 
 (* Raw draws *)
 
-let to_unit_float bits =
+let[@inline] to_unit_float bits =
   (* Use the top 53 bits to build a float in [0, 1). *)
   let mant = Int64.shift_right_logical bits 11 in
   Int64.to_float mant *. (1. /. 9007199254740992.)
 
-let uniform k = to_unit_float (mix64 (Int64.add k 1L))
+let[@inline] uniform k = to_unit_float (mix64 (Int64.add k 1L))
 
 let uniform_range k lo hi =
   if not (Float.is_finite lo && Float.is_finite hi) then
@@ -45,10 +48,13 @@ let uniform_range k lo hi =
       (Printf.sprintf "Prng.uniform_range: empty range [%g, %g]" lo hi);
   lo +. ((hi -. lo) *. uniform k)
 
-let normal k =
-  let k1, k2 = split k in
-  let u1 = Float.max (uniform k1) 1e-300 in
-  let u2 = uniform k2 in
+(* Box-Muller on the two children of [split k]. The clamp is
+   [Float.max u 1e-300] for a [u] in [\[0, 1)], spelled out so the
+   inlined body stays unboxed. *)
+let[@inline] normal k =
+  let u1 = uniform (mix64 (Int64.add k golden)) in
+  let u1 = if u1 < 1e-300 then 1e-300 else u1 in
+  let u2 = uniform (mix64 (Int64.add k (Int64.mul golden 2L))) in
   Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
 
 let normal_mean_std k mu sigma = mu +. (sigma *. normal k)
@@ -201,17 +207,37 @@ let permutation k n =
   done;
   a
 
+(* Vector draws: slot [off + i] gets the draw of [child k i], so a
+   vector draw is [Array.map uniform (split_many k n)] without the key
+   array. *)
+
+let check_into name out off n =
+  if n < 0 || off < 0 || off > Array.length out - n then
+    invalid_arg
+      (Printf.sprintf "Prng.%s: slots [%d, %d+%d) outside an array of %d"
+         name off off n (Array.length out))
+
+let uniform_into k out off n =
+  check_into "uniform_into" out off n;
+  for i = 0 to n - 1 do
+    Array.unsafe_set out (off + i) (uniform (child k i))
+  done
+
+let normal_into k out off n =
+  check_into "normal_into" out off n;
+  for i = 0 to n - 1 do
+    Array.unsafe_set out (off + i) (normal (child k i))
+  done
+
 (* Tensor-valued draws *)
 
-let uniform_tensor k shape =
-  let n = Tensor.size (Tensor.zeros shape) in
-  let ks = split_many k n in
-  Tensor.of_array shape (Array.map uniform ks)
+let tensor_draw into k shape =
+  let out = Array.make (Array.fold_left ( * ) 1 shape) 0. in
+  into k out 0 (Array.length out);
+  Tensor.of_array shape out
 
-let normal_tensor k shape =
-  let n = Tensor.size (Tensor.zeros shape) in
-  let ks = split_many k n in
-  Tensor.of_array shape (Array.map normal ks)
+let uniform_tensor k shape = tensor_draw uniform_into k shape
+let normal_tensor k shape = tensor_draw normal_into k shape
 
 let normal_tensor_mean_std k mean std =
   let eps = normal_tensor k (Tensor.shape mean) in

@@ -16,7 +16,8 @@ val split : key -> key * key
 (** Derive two independent child keys. *)
 
 val split_many : key -> int -> key array
-(** [split_many k n] derives [n] independent child keys. *)
+(** [split_many k n] derives [n] independent child keys. Child [i] does
+    not depend on [n], so a longer split extends a shorter one. *)
 
 val fold_in : key -> int -> key
 (** [fold_in k i] derives the child key indexed by [i] — handy for
@@ -84,7 +85,28 @@ val maxwell : key -> float
 val permutation : key -> int -> int array
 (** A uniformly random permutation of [0 .. n-1]. *)
 
-(** {1 Tensor-valued draws} *)
+(** {1 Vector draws}
+
+    Stream guarantee: a vector of [n] draws under key [k] is, slot for
+    slot and bit for bit, [Array.map uniform (split_many k n)] (resp.
+    {!normal}) — the [i]-th value is always the draw of child [i], so a
+    kernel that writes draws in place reproduces the key-array pipeline
+    exactly. *)
+
+val uniform_into : key -> float array -> int -> int -> unit
+(** [uniform_into k out off n] writes the draws of
+    [Array.map uniform (split_many k n)] into [out.(off .. off + n - 1)].
+    Every other slot of [out] is left untouched, and the kernel
+    allocates nothing. @raise Invalid_argument when [n < 0] or the
+    slots do not lie inside [out]. *)
+
+val normal_into : key -> float array -> int -> int -> unit
+(** [normal_into k out off n] is {!uniform_into} for {!normal} draws. *)
+
+(** {1 Tensor-valued draws}
+
+    Built on the vector draws: a tensor of shape [s] holds, in row-major
+    order, the draws of [split_many k (size s)]. *)
 
 val uniform_tensor : key -> int array -> Tensor.t
 val normal_tensor : key -> int array -> Tensor.t

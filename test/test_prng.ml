@@ -224,6 +224,62 @@ let prop_beta_in_unit =
       let x = Prng.beta (Prng.key seed) a b in
       x >= 0. && x <= 1.)
 
+(* The vector-draw contract: slot [i] is the draw of child [i] of
+   [split_many k n], compared at the Int64 level. *)
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let gen_key = QCheck.map Prng.key QCheck.int
+
+let prop_tensor_draws_are_key_array_draws =
+  QCheck.Test.make ~name:"uniform/normal_tensor = Array.map over split_many"
+    ~count:200
+    QCheck.(pair gen_key (int_range 0 300))
+    (fun (k, n) ->
+      let ks = Prng.split_many k n in
+      let u = Prng.uniform_tensor k [| n |] and z = Prng.normal_tensor k [| n |] in
+      Tensor.shape u = [| n |]
+      && bits_equal (Tensor.to_array u) (Array.map Prng.uniform ks)
+      && bits_equal (Tensor.to_array z) (Array.map Prng.normal ks)
+      (* Row-major over any shape of the same size. *)
+      && bits_equal
+           (Tensor.to_array (Prng.normal_tensor k [| 1; n; 1 |]))
+           (Tensor.to_array z))
+
+let prop_into_writes_only_its_slots =
+  QCheck.Test.make ~name:"uniform/normal_into touch exactly [off, off+n)"
+    ~count:200
+    QCheck.(quad gen_key (int_range 0 300) (int_range 0 40) (int_range 0 40))
+    (fun (k, n, off, tail) ->
+      let ks = Prng.split_many k n in
+      let sentinel = -7.25 in
+      List.for_all
+        (fun (into, draw) ->
+          let out = Array.make (off + n + tail) sentinel in
+          into k out off n;
+          bits_equal (Array.sub out off n) (Array.map draw ks)
+          && Array.for_all (( = ) sentinel) (Array.sub out 0 off)
+          && Array.for_all (( = ) sentinel) (Array.sub out (off + n) tail))
+        [ (Prng.uniform_into, Prng.uniform); (Prng.normal_into, Prng.normal) ])
+
+let test_into_bounds () =
+  let out = Array.make 8 0. in
+  List.iter
+    (fun (name, off, n) ->
+      List.iter
+        (fun into ->
+          match into k0 out off n with
+          | () -> Alcotest.failf "%s accepted" name
+          | exception Invalid_argument _ -> ())
+        [ Prng.uniform_into; Prng.normal_into ])
+    [ ("negative n", 0, -1); ("negative off", -1, 2); ("past the end", 5, 4) ];
+  Prng.uniform_into k0 out 8 0;
+  Alcotest.(check bool) "empty range at the end is fine" true
+    (Array.for_all (( = ) 0.) out)
+
 let test_input_validation () =
   let rejects name f =
     Alcotest.(check bool) name true
@@ -262,7 +318,8 @@ let test_input_validation () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_uniform_bounds; prop_split_deterministic; prop_beta_in_unit ]
+    [ prop_uniform_bounds; prop_split_deterministic; prop_beta_in_unit;
+      prop_tensor_draws_are_key_array_draws; prop_into_writes_only_its_slots ]
 
 let suites =
   [ ( "prng",
@@ -294,5 +351,6 @@ let suites =
         Alcotest.test_case "normal KS" `Slow test_normal_ks;
         Alcotest.test_case "permutation" `Quick test_permutation;
         Alcotest.test_case "tensor draws" `Quick test_tensor_draws;
-        Alcotest.test_case "input validation" `Quick test_input_validation ]
+        Alcotest.test_case "input validation" `Quick test_input_validation;
+        Alcotest.test_case "vector draw bounds" `Quick test_into_bounds ]
       @ qcheck_cases ) ]
