@@ -138,8 +138,8 @@ let resilience_term =
         & opt (some string) None
         & info [ "ckpt-dir" ] ~docv:"DIR"
             ~doc:
-              "Write rotated, checksummed checkpoints ($(b,ckpt.N) + \
-               $(b,latest)) into $(docv) during training, and resume \
+              "Write rotated, checksummed checkpoints ($(b,ckpt.N)) into \
+               $(docv) during training, in the background, and resume \
                from the newest readable one on startup — a crashed run \
                restarted with the same arguments continues bit-exactly \
                (see docs/RESILIENCE.md).")
@@ -1275,7 +1275,7 @@ let serve_cmd =
               ~doc:
                 "Warm-start each model $(i,m) from the rotated checkpoints \
                  in $(docv)/$(i,m) (Store.load_latest) and hot-reload its \
-                 parameters when the $(b,latest) pointer rotates.")
+                 parameters when a newer $(b,ckpt.N) appears there.")
       $ Arg.(
           value
           & opt (some string) None

@@ -35,9 +35,7 @@ type plan = {
   p_spec : spec;
   p_base : Prng.key;
   p_kill_step : int option;
-  mutable c_io : int;  (* occurrence counters *)
-  mutable c_short : int;
-  mutable c_grad : int;
+  counts : int array;  (* occurrence counters, by category index *)
   tally : (string, int ref) Hashtbl.t;
 }
 
@@ -129,9 +127,7 @@ let plan_of_string ~seed text =
         p_spec = spec;
         p_base = base;
         p_kill_step = kill_step;
-        c_io = 0;
-        c_short = 0;
-        c_grad = 0;
+        counts = Array.make (cat_grad + 1) 0;
         tally = Hashtbl.create 8;
       })
     (build empty_spec entries)
@@ -162,26 +158,59 @@ let installed : plan option ref = ref None
 let active () = !installed <> None
 let current () = !installed
 
+(* One lock guards every plan's occurrence counters and tallies: the
+   checkpoint writer thread consults the I/O hooks while the step
+   thread consults the gradient and step hooks, and a thread switch
+   must never land inside a counter update or a [Hashtbl] resize. *)
+let lock = Mutex.create ()
+
+(* Threads inside {!capture}, each with the injections it recorded.
+   Guarded by [lock]; a list is only ever touched by its own thread. *)
+let capturing : (int * string list ref) list ref = ref []
+
 let install p =
-  p.c_io <- 0;
-  p.c_short <- 0;
-  p.c_grad <- 0;
-  Hashtbl.reset p.tally;
+  Mutex.protect lock (fun () ->
+      Array.fill p.counts 0 (Array.length p.counts) 0;
+      Hashtbl.reset p.tally);
   installed := Some p
 
 let clear () = installed := None
 
+let next p cat =
+  Mutex.protect lock (fun () ->
+      let n = p.counts.(cat) in
+      p.counts.(cat) <- n + 1;
+      n)
+
+let publish = List.iter (fun what -> Obs.incr ("fault/" ^ what))
+
 let record p what =
-  (match Hashtbl.find_opt p.tally what with
-  | Some r -> Stdlib.incr r
-  | None -> Hashtbl.add p.tally what (ref 1));
-  Obs.incr ("fault/" ^ what)
+  Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt p.tally what with
+      | Some r -> Stdlib.incr r
+      | None -> Hashtbl.add p.tally what (ref 1));
+  let self = Thread.id (Thread.self ()) in
+  match Mutex.protect lock (fun () -> List.assoc_opt self !capturing) with
+  | Some acc -> acc := what :: !acc
+  | None -> publish [ what ]
+
+let capture f =
+  let self = Thread.id (Thread.self ()) in
+  let acc = ref [] in
+  Mutex.protect lock (fun () -> capturing := (self, acc) :: !capturing);
+  let result =
+    Fun.protect f ~finally:(fun () ->
+        Mutex.protect lock (fun () ->
+            capturing := List.remove_assoc self !capturing))
+  in
+  (result, List.rev !acc)
 
 let injected () =
   match !installed with
   | None -> []
   | Some p ->
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) p.tally []
+    Mutex.protect lock (fun () ->
+        Hashtbl.fold (fun k r acc -> (k, !r) :: acc) p.tally [])
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
@@ -191,8 +220,7 @@ let on_io ~op ~path =
   match !installed with
   | None -> ()
   | Some p ->
-    let n = p.c_io in
-    p.c_io <- n + 1;
+    let n = next p cat_io in
     if p.p_spec.io_error > 0. && draw p cat_io n < p.p_spec.io_error then begin
       record p "io_error";
       raise
@@ -206,8 +234,7 @@ let short_write_len ~path:_ ~full =
   match !installed with
   | None -> None
   | Some p ->
-    let n = p.c_short in
-    p.c_short <- n + 1;
+    let n = next p cat_short in
     if full > 0 && p.p_spec.short_write > 0.
        && draw p cat_short n < p.p_spec.short_write
     then begin
@@ -225,8 +252,7 @@ let grad_poison ~name:_ =
     let s = p.p_spec in
     if s.grad_nan = 0. && s.grad_inf = 0. then None
     else begin
-      let n = p.c_grad in
-      p.c_grad <- n + 1;
+      let n = next p cat_grad in
       let u = draw p cat_grad n in
       if u < s.grad_nan then begin
         record p "grad_nan";

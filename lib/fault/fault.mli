@@ -78,7 +78,21 @@ val injected : unit -> (string * int) list
     ("io_error", "short_write", "grad_nan", "grad_inf", "oom",
     "delay"), sorted by name. The same tallies are mirrored into
     [lib/obs] counters ("fault/io_error", ...) when observability is
-    live. *)
+    live, except for injections recorded inside {!capture}.
+
+    The plan's counters and tallies sit behind one mutex, so the hooks
+    may be consulted from a background thread (the checkpoint writer)
+    while the step thread consults others. *)
+
+val capture : (unit -> 'a) -> 'a * string list
+(** [capture f] runs [f] and returns, with its result, the categories
+    of the injections [f] recorded on the calling thread, in order.
+    Those are not mirrored into [lib/obs], whose tables belong to the
+    step thread: the caller hands them back to it for {!publish}. *)
+
+val publish : string list -> unit
+(** Mirror captured injections into the [lib/obs] counters. Call on
+    the thread that owns [lib/obs]. *)
 
 (** {1 Hooks}
 

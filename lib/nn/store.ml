@@ -79,57 +79,58 @@ module Crc32 = struct
            done;
            !c))
 
-  let sub s pos len =
+  let bytes b pos len =
     let table = Lazy.force table in
     let c = ref 0xFFFFFFFF in
     for i = pos to pos + len - 1 do
-      c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+      c := table.((!c lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!c lsr 8)
     done;
     !c lxor 0xFFFFFFFF
+
+  let sub s pos len = bytes (Bytes.unsafe_of_string s) pos len
 end
 
-(* Serialization into a buffer: checkpoints are at most a few hundred
-   MB of parameters, and building the image in memory is what lets the
+(* Serialization into one buffer of the exact image size, CRCs
+   computed in place: building the image in memory is what lets the
    save be atomic (single rename) and checksummed. *)
 
-let buf_u32 b n =
-  Buffer.add_char b (Char.chr ((n lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((n lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((n lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (n land 0xFF))
+let set_u32 b pos n = Bytes.set_int32_be b pos (Int32.of_int n)
 
-let buf_f64 b x =
-  let bits = Int64.bits_of_float x in
-  for i = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bits (i * 8)) land 0xFF))
-  done
+(* Write one tensor record at [pos]; returns the position after it. *)
+let serialize_tensor b ~crc pos (name, x) =
+  let len = String.length name and shape = Tensor.shape x in
+  set_u32 b pos len;
+  Bytes.blit_string name 0 b (pos + 4) len;
+  set_u32 b (pos + 4 + len) (Array.length shape);
+  Array.iteri (fun i d -> set_u32 b (pos + 8 + len + (4 * i)) d) shape;
+  let elems = pos + 8 + len + (4 * Array.length shape) in
+  for i = 0 to Tensor.size x - 1 do
+    Bytes.set_int64_be b (elems + (8 * i)) (Int64.bits_of_float (Tensor.get_flat x i))
+  done;
+  let stop = elems + (8 * Tensor.size x) in
+  if crc then set_u32 b stop (Crc32.bytes b pos (stop - pos));
+  if crc then stop + 4 else stop
 
-let serialize_tensor b crc name x =
-  let start = Buffer.length b in
-  buf_u32 b (String.length name);
-  Buffer.add_string b name;
-  let shape = Tensor.shape x in
-  buf_u32 b (Array.length shape);
-  Array.iter (buf_u32 b) shape;
-  Array.iter (buf_f64 b) (Tensor.to_array x);
-  if crc then begin
-    let record = Buffer.sub b start (Buffer.length b - start) in
-    buf_u32 b (Crc32.sub record 0 (String.length record))
-  end
+let encode ~version t =
+  let crc = version >= 2 and header = String.length magic + 8 in
+  let checksum = if crc then 4 else 0 in
+  let entries = List.map (fun name -> (name, tensor t name)) (names t) in
+  let b =
+    Bytes.create
+      (List.fold_left
+         (fun acc (name, x) ->
+           acc + 8 + String.length name + (4 * Tensor.rank x) + (8 * Tensor.size x)
+           + checksum)
+         (header + checksum) entries)
+  in
+  Bytes.blit_string magic 0 b 0 (String.length magic);
+  set_u32 b (String.length magic) version;
+  set_u32 b (String.length magic + 4) (List.length entries);
+  let stop = List.fold_left (serialize_tensor b ~crc) header entries in
+  if crc then set_u32 b stop (Crc32.bytes b 0 stop);
+  Bytes.unsafe_to_string b
 
-let serialize ?(version = format_version) t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  buf_u32 b version;
-  let order = names t in
-  buf_u32 b (List.length order);
-  List.iter (fun name -> serialize_tensor b (version >= 2) name (tensor t name)) order;
-  if version >= 2 then begin
-    let body = Buffer.contents b in
-    buf_u32 b (Crc32.sub body 0 (String.length body))
-  end;
-  Buffer.contents b
+let serialize t = encode ~version:format_version t
 
 (* Atomic durable write: the image lands in a temp file in the target's
    directory, is flushed and fsync'd, and only then renamed over the
@@ -186,12 +187,15 @@ let write_file_atomic ~path data =
    [retries] extra times, sleeping [backoff_ms * 2^attempt] between
    tries. The schedule is fixed (no jitter), so a replayed fault plan
    sees the identical sequence of attempts. *)
-let with_io_retries ~retries ~backoff_ms ~what f =
+let note_retry msg =
+  Obs.incr "store/io_retries";
+  Obs.message Obs.Fault msg
+
+let with_io_retries ~retries ~backoff_ms ~on_retry ~what f =
   let rec attempt i =
     try f ()
     with Sys_error msg when i < retries ->
-      Obs.incr "store/io_retries";
-      Obs.message Obs.Fault
+      on_retry
         (Printf.sprintf "store: %s failed (%s); retry %d/%d" what msg (i + 1)
            retries);
       if backoff_ms > 0. then
@@ -200,13 +204,15 @@ let with_io_retries ~retries ~backoff_ms ~what f =
   in
   attempt 0
 
+let write_image ~retries ~backoff_ms ~on_retry data path =
+  with_io_retries ~retries ~backoff_ms ~on_retry ~what:("save to " ^ path)
+    (fun () -> write_file_atomic ~path data)
+
 let save ?(retries = 0) ?(backoff_ms = 10.) t path =
-  let data = serialize t in
-  with_io_retries ~retries ~backoff_ms ~what:("save to " ^ path) (fun () ->
-      write_file_atomic ~path data)
+  write_image ~retries ~backoff_ms ~on_retry:note_retry (serialize t) path
 
 let save_v1 t path =
-  write_file_atomic ~path (serialize ~version:1 t)
+  write_file_atomic ~path (encode ~version:1 t)
 
 (* --- Reading --- *)
 
@@ -322,10 +328,10 @@ let load path =
 (* --- Rotated checkpoints ---
 
    A checkpoint directory holds [ckpt.N] files (monotonically
-   increasing N) plus a [latest] pointer file naming the newest one.
-   Both are written atomically, so a crash between the two leaves a
-   valid older pointer; [load_latest] trusts the pointer first but
-   falls back to a full scan, newest index first, skipping anything
+   increasing N) and nothing else of ours. Each is renamed into place
+   only after its fsync, and temp names ([ckpt.N.tmp.PID]) never parse
+   as an index, so the newest readable [ckpt.N] is the whole truth:
+   [load_latest] scans newest index first, skipping anything
    unreadable. *)
 
 let rec mkdir_p dir =
@@ -357,38 +363,28 @@ let list_checkpoints dir =
            | None -> None)
     |> List.sort (fun (a, _) (b, _) -> Stdlib.compare b a)
 
-let save_rotated ?(keep = 3) ?(retries = 0) ?(backoff_ms = 10.) t ~dir =
-  if keep < 1 then invalid_arg "Store.save_rotated: keep < 1";
+let newest_checkpoint dir =
+  match list_checkpoints dir with (_, path) :: _ -> Some path | [] -> None
+
+let write_rotated ?(keep = 3) ?(retries = 0) ?(backoff_ms = 10.)
+    ?(on_retry = note_retry) data ~dir =
+  if keep < 1 then invalid_arg "Store.write_rotated: keep < 1";
   mkdir_p dir;
   let next =
     match list_checkpoints dir with (i, _) :: _ -> i + 1 | [] -> 1
   in
-  let name = Printf.sprintf "%s%d" ckpt_prefix next in
-  let path = Filename.concat dir name in
-  save ~retries ~backoff_ms t path;
-  with_io_retries ~retries ~backoff_ms ~what:("update " ^ dir ^ "/latest")
-    (fun () ->
-      write_file_atomic ~path:(Filename.concat dir "latest") (name ^ "\n"));
+  let path = Filename.concat dir (Printf.sprintf "%s%d" ckpt_prefix next) in
+  write_image ~retries ~backoff_ms ~on_retry data path;
   (* Prune beyond the keep-count — newest first, and only after the new
-     checkpoint and pointer are durable. *)
+     checkpoint is durable. *)
   List.iteri
     (fun i (_, p) ->
       if i >= keep then try Sys.remove p with Sys_error _ -> ())
     (list_checkpoints dir);
   path
 
-let latest_pointer dir =
-  let pointer = Filename.concat dir "latest" in
-  match open_in pointer with
-  | exception Sys_error _ -> None
-  | ic ->
-    let name = try input_line ic with End_of_file -> "" in
-    close_in_noerr ic;
-    let name = String.trim name in
-    if name = "" || Filename.basename name <> name then None
-    else
-      let path = Filename.concat dir name in
-      if Sys.file_exists path then Some path else None
+let save_rotated ?keep ?retries ?backoff_ms t ~dir =
+  write_rotated ?keep ?retries ?backoff_ms (serialize t) ~dir
 
 type latest_error =
   | No_directory of string
@@ -404,7 +400,7 @@ let latest_error_message = function
   | No_checkpoints dir ->
     Printf.sprintf
       "%s: directory holds no ckpt.N checkpoints (hint: nothing to resume \
-       yet; a checkpointed run writes ckpt.N files plus a latest pointer)"
+       yet; a checkpointed run writes ckpt.N files)"
       dir
   | All_corrupt { dir; tried } ->
     Printf.sprintf "%s: all %d checkpoint candidate(s) are corrupt or unreadable"
@@ -414,12 +410,7 @@ let load_latest_result dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (No_directory dir)
   else begin
-    let scanned = List.map snd (list_checkpoints dir) in
-    let candidates =
-      match latest_pointer dir with
-      | Some p -> p :: List.filter (fun q -> q <> p) scanned
-      | None -> scanned
-    in
+    let candidates = List.map snd (list_checkpoints dir) in
     let rec try_load = function
       | [] ->
         if candidates = [] then Error (No_checkpoints dir)

@@ -66,8 +66,18 @@ val save : ?retries:int -> ?backoff_ms:float -> t -> string -> unit
 (** Write all parameters, in registration order, atomically to a
     file. [retries] (default 0) retries transient [Sys_error]
     failures with a deterministic exponential backoff starting at
-    [backoff_ms] (default 10).
+    [backoff_ms] (default 10). Each retry is recorded by
+    {!note_retry}.
     @raise Sys_error when the write still fails after the retries. *)
+
+val serialize : t -> string
+(** The format-2 image {!save} writes, built in one buffer of its
+    exact size. *)
+
+val note_retry : string -> unit
+(** Record one retried write: bump the ["store/io_retries"] counter and
+    emit the message as an [Obs.Fault] message. The default
+    [on_retry] of {!write_rotated}. *)
 
 val save_v1 : t -> string -> unit
 (** Write the legacy (version 1, checksum-free) format — kept so the
@@ -82,16 +92,36 @@ val load : string -> t
 (** {1 Rotated checkpoints}
 
     A checkpoint directory holds [ckpt.N] files (monotonically
-    increasing [N]) plus a [latest] pointer file naming the newest.
-    Both are written atomically, so a crash between the two leaves a
-    consistent older state. *)
+    increasing [N]). Each is fsync'd, renamed into place and followed
+    by a directory fsync, so a present [ckpt.N] is complete unless it
+    was damaged later; the newest readable one is the directory's
+    state. Temp files ([ckpt.N.tmp.PID]) and any other names, such as
+    the [latest] pointer older versions wrote, are ignored. *)
 
 val save_rotated :
   ?keep:int -> ?retries:int -> ?backoff_ms:float -> t -> dir:string -> string
-(** Write the next [ckpt.N] in [dir] (created if missing), update the
-    [latest] pointer, and prune all but the newest [keep] (default 3)
-    checkpoints. Returns the path written.
+(** Write the next [ckpt.N] in [dir] (created if missing) and prune
+    all but the newest [keep] (default 3) checkpoints. Returns the
+    path written. Two fsyncs: the file's and the directory's.
     @raise Sys_error when the write fails after the retries. *)
+
+val write_rotated :
+  ?keep:int ->
+  ?retries:int ->
+  ?backoff_ms:float ->
+  ?on_retry:(string -> unit) ->
+  string ->
+  dir:string ->
+  string
+(** {!save_rotated} for an image already built by {!serialize}. Each
+    retried attempt's message goes to [on_retry] (default
+    {!note_retry}). Apart from [on_retry], it touches only the
+    directory and the [Fault] plan, so it may run on a thread other
+    than the one that owns [Obs] when [on_retry] just collects. *)
+
+val newest_checkpoint : string -> string option
+(** The path of the highest-numbered [ckpt.N] in a directory (one
+    [readdir], no file opened), or [None]. *)
 
 (** Why [load_latest] failed, split so callers can give an accurate
     hint: a missing directory and an empty one mean "nothing trained
@@ -110,8 +140,8 @@ val latest_error_message : latest_error -> string
     run creates it; nothing to resume yet)"]. *)
 
 val load_latest_result : string -> (t * string, latest_error) result
-(** Load the newest readable checkpoint in a directory, trying the
-    [latest] pointer first and then every [ckpt.N] newest-first.
+(** Load the newest readable checkpoint in a directory, trying every
+    [ckpt.N] newest-first.
     Corrupt or unreadable candidates are skipped with an explanatory
     [Obs.message] (and a ["store/fallbacks"] counter bump). Never
     raises; the error cases are typed so an empty or missing directory

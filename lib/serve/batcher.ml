@@ -241,23 +241,31 @@ let poll_reload t entry =
     let now = Unix.gettimeofday () in
     if now -. entry.m_last_poll >= 0.25 then begin
       entry.m_last_poll <- now;
-      match
-        (try
-           if Fault.active () then Fault.on_io ~op:`Read ~path:dir;
-           Store.load_latest_result dir
-         with Sys_error msg -> Error (Store.All_corrupt { dir = msg; tried = 0 }))
-      with
-      | Ok (s, path) when path <> entry.m_stamp ->
-        entry.m_store <- s;
-        entry.m_stamp <- path;
-        Mutex.lock t.lock;
-        t.n_reloads <- t.n_reloads + 1;
-        Mutex.unlock t.lock;
-        Obs.incr "serve/reloads";
-        Obs.message Obs.Other
-          (Printf.sprintf "serve: %s hot-reloaded params from %s" entry.m_name
-             path)
-      | Ok _ | Error _ -> ()
+      (* One readdir per poll; checkpoints are read only when the
+         newest ckpt.N is not the one loaded. A corrupt newest is
+         retried (falling back past it) on every poll until a newer
+         one lands. *)
+      let changed =
+        try
+          if Fault.active () then Fault.on_io ~op:`Read ~path:dir;
+          match Store.newest_checkpoint dir with
+          | Some newest -> newest <> entry.m_stamp
+          | None -> false
+        with Sys_error _ -> false
+      in
+      if changed then
+        match Store.load_latest_result dir with
+        | Ok (s, path) when path <> entry.m_stamp ->
+          entry.m_store <- s;
+          entry.m_stamp <- path;
+          Mutex.lock t.lock;
+          t.n_reloads <- t.n_reloads + 1;
+          Mutex.unlock t.lock;
+          Obs.incr "serve/reloads";
+          Obs.message Obs.Other
+            (Printf.sprintf "serve: %s hot-reloaded params from %s" entry.m_name
+               path)
+        | Ok _ | Error _ -> ()
     end
 
 (* ------------------------------------------------------------------ *)

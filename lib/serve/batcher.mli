@@ -55,8 +55,10 @@ val register :
 (** Registers a servable model. The model must have a static set of
     real-carrier latent addresses (sampled by the guide). When
     [params_dir] is given, the store is warm-started from
-    [Store.load_latest_result params_dir] and hot-reloaded whenever the
-    directory's [latest] pointer rotates to a new checkpoint. A
+    [Store.load_latest_result params_dir] and hot-reloaded whenever a
+    newer [ckpt.N] appears there (polled at most every 250 ms, one
+    [readdir] per poll; no file is read while the newest is the one
+    loaded). A
     compiled plan is staged eagerly via [Compile.plan_for] under the id
     ["serve/<name>"] and used for scalar density evaluations. *)
 

@@ -22,7 +22,7 @@ let optim_prefix = "__optim/"
 
 let is_reserved name = String.length name >= 2 && name.[0] = '_' && name.[1] = '_'
 
-let save cfg ~step ~store ~optim ~guard =
+let pack ~step ~store ~optim ~guard =
   let packed = Store.copy store in
   Store.ensure packed step_key (fun () -> Tensor.scalar (float_of_int step));
   Store.ensure packed retries_key (fun () ->
@@ -32,9 +32,81 @@ let save cfg ~step ~store ~optim ~guard =
   List.iter
     (fun (name, x) -> Store.ensure packed (optim_prefix ^ name) (fun () -> x))
     (Optim.export_state optim);
+  packed
+
+let save cfg ~step ~store ~optim ~guard =
   ignore
     (Store.save_rotated ~keep:cfg.keep ~retries:cfg.retries
-       ~backoff_ms:cfg.backoff_ms packed ~dir:cfg.dir)
+       ~backoff_ms:cfg.backoff_ms
+       (pack ~step ~store ~optim ~guard)
+       ~dir:cfg.dir)
+
+(* --- Background writer ---
+
+   The step thread snapshots and serializes; a systhread runs the
+   durable write. A write's thread is joined before the next one
+   starts, so at most one image is in flight and images are written in
+   submission order: the sequence of store I/O (and of [Fault]
+   decisions) is the synchronous one. The writer touches no [Obs]
+   table: its retry messages and captured fault injections come back
+   with its outcome and are recorded by the step thread. *)
+
+type outcome = {
+  retried : string list;
+  injected : string list;
+  error : (exn * Printexc.raw_backtrace) option;
+}
+
+type writer = {
+  w_cfg : cfg;
+  mutable in_flight : (Thread.t * outcome option ref) option;
+}
+
+let writer cfg = { w_cfg = cfg; in_flight = None }
+
+let write cfg image =
+  let retried = ref [] in
+  let error, injected =
+    Fault.capture (fun () ->
+        match
+          Store.write_rotated ~keep:cfg.keep ~retries:cfg.retries
+            ~backoff_ms:cfg.backoff_ms
+            ~on_retry:(fun msg -> retried := msg :: !retried)
+            image ~dir:cfg.dir
+        with
+        | (_ : string) -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
+  in
+  { retried = List.rev !retried; injected; error }
+
+let join w =
+  match w.in_flight with
+  | None -> None
+  | Some (thread, outcome) ->
+    Thread.join thread;
+    w.in_flight <- None;
+    !outcome
+
+let drain w =
+  Option.iter
+    (fun o ->
+      List.iter Store.note_retry o.retried;
+      Fault.publish o.injected;
+      Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) o.error)
+    (join w)
+
+let submit w ~step ~store ~optim ~guard =
+  drain w;
+  let image = Store.serialize (pack ~step ~store ~optim ~guard) in
+  let outcome = ref None in
+  let thread = Thread.create (fun () -> outcome := Some (write w.w_cfg image)) () in
+  w.in_flight <- Some (thread, outcome)
+
+(* Without a yield, the writer waits for the runtime's 50 ms tick after
+   every syscall before it gets the domain lock back. *)
+let yield w = if Option.is_some w.in_flight then Thread.yield ()
+
+let close w = ignore (join w)
 
 type resumed = { step : int; path : string }
 

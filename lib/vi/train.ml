@@ -132,17 +132,22 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
         (Printf.sprintf "train: resumed from %s at step %d" path resumed);
       Obs.incr "train/resumes";
       step := resumed));
+  (* Periodic checkpoints go through a background writer (the step
+     thread only snapshots and serializes). It is drained, so its last
+     error surfaces, before [fit] returns, and joined however [fit]
+     exits. *)
+  let writer = Option.map Persist.writer persist in
+  Fun.protect ~finally:(fun () -> Option.iter Persist.close writer)
+  @@ fun () ->
   (* Save after the [every]-th committed step; !step is then the next
      step to run, which is what the checkpoint records. *)
-  let due_checkpoint () =
-    match persist with
-    | Some cfg when !step > 0 && !step mod cfg.every = 0 -> Some cfg
-    | _ -> None
-  in
   let checkpoint () =
-    match due_checkpoint () with
-    | Some cfg -> Persist.save cfg ~step:!step ~store ~optim ~guard:g
-    | None -> ()
+    match (persist, writer) with
+    | Some cfg, Some w ->
+      if !step > 0 && !step mod cfg.every = 0 then
+        Persist.submit w ~step:!step ~store ~optim ~guard:g;
+      Persist.yield w
+    | _ -> ()
   in
   while !step < steps do
     if Guard.due_snapshot g ~step:!step then
@@ -246,12 +251,15 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
       | Guard.Restart_from resume ->
         reports := List.filter (fun r -> r.step < resume) !reports;
         step := resume;
-        (* Make the rollback durable: the retry counter feeds the
-           replay's PRNG stream, so a crash mid-replay must resume
-           with the post-rollback state, not a pre-rollback image. *)
-        (match persist with
-        | Some cfg -> Persist.save cfg ~step:resume ~store ~optim ~guard:g
-        | None -> ())
+        (* Make the rollback durable before the next step: the retry
+           counter feeds the replay's PRNG stream, so a crash
+           mid-replay must resume with the post-rollback state, not a
+           pre-rollback image. *)
+        (match (persist, writer) with
+        | Some cfg, Some w ->
+          Persist.drain w;
+          Persist.save cfg ~step:resume ~store ~optim ~guard:g
+        | _ -> ())
       | Guard.Proceed | Guard.Skip ->
         (* Under [Skip] the non-finite gradients are dropped (and counted)
            inside [Optim.step]; the finite remainder still applies, which
@@ -273,6 +281,7 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
         incr step;
         checkpoint ())
   done;
+  Option.iter Persist.drain writer;
   List.rev !reports
 
 let fit_spec ~store ~optim ?(direction = Optim.Ascend) ?guard ?persist

@@ -140,6 +140,77 @@ let test_sigkill_resume_past_corruption () =
   let final = train ~persist:cfg () in
   check_bits "resume past corruption = uninterrupted" reference final
 
+(* --- The background writer's contract --- *)
+
+let files dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let with_plan ~seed spec f =
+  (match Fault.plan_of_string ~seed spec with
+  | Ok plan -> Fault.install plan
+  | Error msg -> Alcotest.fail msg);
+  Fun.protect ~finally:Fault.clear f
+
+(* When [fit] returns, its last checkpoint is already durable. *)
+let test_final_checkpoint_durable () =
+  let dir = tmp_dir "final" in
+  let cfg = Persist.cfg ~every:6 dir in
+  ignore (Coin.train ~steps ~samples:2 ~persist:cfg (Prng.key 0));
+  let optim = Optim.adam ~lr:0.02 () in
+  match Persist.load_into cfg ~store:(Store.create ()) ~optim ~guard:(Guard.create ()) with
+  | Some { Persist.step; _ } -> Alcotest.(check int) "step of the newest checkpoint" steps step
+  | None -> Alcotest.fail "no checkpoint after fit returned"
+
+(* A write that fails past its retry budget makes [fit] raise — at the
+   next save, or at return when it was the last — and leaves no temp
+   file behind. *)
+let test_write_error_surfaces () =
+  List.iter
+    (fun (tag, steps) ->
+      let dir = tmp_dir tag in
+      let cfg = Persist.cfg ~every ~retries:1 ~backoff_ms:0.01 dir in
+      let raised =
+        with_plan ~seed:5 "io-error=1" (fun () ->
+            match Coin.train ~steps ~samples:2 ~persist:cfg (Prng.key 0) with
+            | _ -> false
+            | exception Sys_error _ -> true)
+      in
+      Alcotest.(check bool) (tag ^ ": fit raised Sys_error") true raised;
+      Alcotest.(check (list string)) (tag ^ ": no file left behind") [] (files dir))
+    [ ("fail-mid", steps); ("fail-last", every) ]
+
+(* Under a seeded plan of I/O errors and short writes, the writer
+   thread sees the same I/O sequence every run: equal injection
+   tallies, equal retry counts, byte-identical checkpoints and
+   parameters. *)
+let test_io_faults_deterministic () =
+  let run tag =
+    let dir = tmp_dir tag in
+    let cfg = Persist.cfg ~every ~retries:6 ~backoff_ms:0.01 dir in
+    Obs.configure ~enabled:true ~sink:`Null ();
+    Obs.reset ();
+    Fun.protect
+      ~finally:(fun () -> Obs.configure ~enabled:false ~sink:`Console ())
+      (fun () ->
+        with_plan ~seed:3 "io-error=0.3 short-write=0.3" (fun () ->
+            let params = train ~persist:cfg () in
+            let ckpts = List.map (fun f -> (f, read_file (Filename.concat dir f))) (files dir) in
+            (Fault.injected (), Obs.counter_value "store/io_retries", ckpts, params)))
+  in
+  let injected_a, retries_a, ckpts_a, params_a = run "io-a" in
+  let injected_b, retries_b, ckpts_b, params_b = run "io-b" in
+  Alcotest.(check bool) "the plan injected faults" true (retries_a > 0);
+  Alcotest.(check (list (pair string int))) "injection tallies" injected_a injected_b;
+  Alcotest.(check int) "store/io_retries" retries_a retries_b;
+  Alcotest.(check (list (pair string string))) "checkpoint bytes" ckpts_a ckpts_b;
+  check_bits "parameters" params_a params_b;
+  check_bits "parameters = no faults" (train ()) params_a
+
 let suites =
   [ ( "chaos",
       [ Alcotest.test_case "resume equivalence" `Quick
@@ -149,4 +220,10 @@ let suites =
         Alcotest.test_case "sigkill resume bit-identical" `Quick
           test_sigkill_resume_bit_identical;
         Alcotest.test_case "sigkill resume past corruption" `Quick
-          test_sigkill_resume_past_corruption ] ) ]
+          test_sigkill_resume_past_corruption;
+        Alcotest.test_case "final checkpoint durable at return" `Quick
+          test_final_checkpoint_durable;
+        Alcotest.test_case "write error surfaces" `Quick
+          test_write_error_surfaces;
+        Alcotest.test_case "io faults deterministic" `Quick
+          test_io_faults_deterministic ] ) ]

@@ -99,7 +99,7 @@ let test_skip_step_continues () =
 
 (* Rollback_retry: the acceptance-criteria fault-injection scenario. *)
 
-let rollback_run key =
+let rollback_run ?persist key =
   let store = quadratic_store () in
   let optim = Optim.adam ~lr:0.1 () in
   let guard =
@@ -110,7 +110,7 @@ let rollback_run key =
     if step = 6 && not !fired then (fired := true; true) else false
   in
   let reports =
-    Train.fit_surrogate ~store ~optim ~guard ~steps:50
+    Train.fit_surrogate ~store ~optim ~guard ?persist ~steps:50
       ~surrogate:(inject_nan ~fire quadratic_surrogate)
       key
   in
@@ -143,6 +143,27 @@ let test_rollback_retry_reproducible () =
       if a.Train.objective <> b.Train.objective then
         Alcotest.failf "objectives differ at step %d" a.Train.step)
     reports1 reports2
+
+(* With checkpointing on, the rollback at step 6 drains the write of
+   step 5 and saves synchronously; the run's bits do not change, and
+   the last checkpoint carries the rollback in its guard counters. *)
+let test_rollback_with_checkpoints () =
+  let dir = Filename.temp_file "ppvi_rollback" "" in
+  Sys.remove dir;
+  let persist = Persist.cfg ~every:5 dir in
+  let store1, _, _ = rollback_run (Prng.key 11) in
+  let store2, _, _ = rollback_run ~persist (Prng.key 11) in
+  Alcotest.(check bool) "same final parameters" true
+    (Tensor.equal (Store.tensor store1 "x") (Store.tensor store2 "x"));
+  let guard = Guard.create () in
+  match
+    Persist.load_into persist ~store:(quadratic_store ())
+      ~optim:(Optim.adam ~lr:0.1 ()) ~guard
+  with
+  | Some { Persist.step; _ } ->
+    Alcotest.(check int) "last checkpoint at the end" 50 step;
+    Alcotest.(check int) "rollback recorded" 1 (Guard.retry_count guard)
+  | None -> Alcotest.fail "no checkpoint written"
 
 let test_rollback_reseeds_deterministically () =
   (* A stochastic objective (REPARAM noise): after a rollback the
@@ -356,6 +377,8 @@ let suites =
           test_rollback_retry_recovers;
         Alcotest.test_case "rollback-retry reproducible" `Quick
           test_rollback_retry_reproducible;
+        Alcotest.test_case "rollback with checkpoints" `Quick
+          test_rollback_with_checkpoints;
         Alcotest.test_case "rollback reseeds deterministically" `Quick
           test_rollback_reseeds_deterministically;
         Alcotest.test_case "rollback gives up" `Quick

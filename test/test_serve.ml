@@ -511,6 +511,51 @@ let test_param_hot_reload () =
     Alcotest.failf "sample ignored the reloaded parameters (%h = %h)" before
       after
 
+(* Polling reads a checkpoint only when the newest ckpt.N changed.
+   The newest file is damaged in place after the warm start: a poll
+   that read it would fall back past it, which "store/fallbacks"
+   counts. A newer damaged file is then read (and fallen back past). *)
+let test_reload_poll_reads_nothing_unchanged () =
+  let dir = Filename.temp_file "ppvi-serve-poll" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let model_dir = Filename.concat dir "coin" in
+  Unix.mkdir model_dir 0o755;
+  let s0 = Store.create () in
+  Coin.register s0;
+  let first = Store.save_rotated s0 ~dir:model_dir in
+  let b =
+    Batcher.create { Batcher.max_batch = 4; max_wait_us = 0.; queue_bound = 16 }
+  in
+  Batcher.register_builtins ~params_root:dir b;
+  let damage path =
+    let oc = open_out_bin path in
+    output_string oc "PPVISTOR-not-really";
+    close_out oc
+  in
+  damage first;
+  Obs.configure ~enabled:true ~sink:`Null ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () -> Obs.configure ~enabled:false ~sink:`Console ())
+    (fun () ->
+      Batcher.start b;
+      let polls n =
+        for _ = 1 to n do
+          Thread.delay 0.26;
+          ignore (Batcher.submit b (Proto.Sample { model = "coin"; seed = 0 }))
+        done
+      in
+      polls 2;
+      Alcotest.(check int) "unchanged directory: no checkpoint read" 0
+        (Obs.counter_value "store/fallbacks");
+      damage (Filename.concat model_dir "ckpt.2");
+      polls 1;
+      Batcher.drain b;
+      Alcotest.(check bool) "a newer damaged checkpoint is read" true
+        (Obs.counter_value "store/fallbacks" > 0);
+      Alcotest.(check int) "and never loaded" 0 (Batcher.stats b).Batcher.s_reloads)
+
 (* ------------------------------------------------------------------ *)
 (* Socket daemon end to end *)
 
@@ -693,6 +738,8 @@ let suites =
           test_drain_flushes_and_rejects;
         Alcotest.test_case "unknown model" `Quick test_unknown_model;
         Alcotest.test_case "checkpoint hot reload" `Quick test_param_hot_reload;
+        Alcotest.test_case "reload poll reads only a new checkpoint" `Quick
+          test_reload_poll_reads_nothing_unchanged;
         Alcotest.test_case "fault plan covers admission" `Quick
           test_fault_hook_in_admission
       ] );

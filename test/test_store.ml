@@ -169,7 +169,7 @@ let test_rotation_and_fallback () =
   let files = List.sort compare (Array.to_list (Sys.readdir dir)) in
   Alcotest.(check (list string))
     "keep=3 prunes the oldest"
-    [ "ckpt.3"; "ckpt.4"; "ckpt.5"; "latest" ]
+    [ "ckpt.3"; "ckpt.4"; "ckpt.5" ]
     files;
   (match Store.load_latest dir with
   | Some (store, path) ->
@@ -298,6 +298,92 @@ let test_load_latest_result_typed_errors () =
       (Tensor.to_scalar (Store.tensor loaded "x"))
   | Error e -> Alcotest.fail (Store.latest_error_message e)
 
+(* Directories written by older versions also hold a [latest] pointer.
+   It is ignored: a stale one naming an older checkpoint must not win
+   over the newest readable [ckpt.N]. *)
+let test_stale_latest_pointer_ignored () =
+  let dir = tmp_dir () in
+  List.iter
+    (fun v ->
+      let store = Store.create () in
+      Store.ensure store "x" (fun () -> Tensor.scalar v);
+      ignore (Store.save_rotated store ~dir))
+    [ 1.; 2.; 3. ];
+  write_file (Filename.concat dir "latest") "ckpt.1\n";
+  (match Store.load_latest dir with
+  | Some (store, path) ->
+    Alcotest.(check string) "newest ckpt.N wins" (Filename.concat dir "ckpt.3") path;
+    Alcotest.(check (float 0.)) "newest payload" 3.
+      (Tensor.to_scalar (Store.tensor store "x"))
+  | None -> Alcotest.fail "expected a checkpoint");
+  (* With the newest damaged, the scan falls back to ckpt.2 — still
+     not the pointer's ckpt.1. *)
+  write_file (Filename.concat dir "ckpt.3") "PPVISTOR-not-really";
+  match Store.load_latest dir with
+  | Some (_, path) ->
+    Alcotest.(check string) "fallback by index" (Filename.concat dir "ckpt.2") path
+  | None -> Alcotest.fail "expected a fallback checkpoint"
+
+(* The serializer before it was rewritten to fill one exact-size
+   buffer, kept as the byte-level reference: a Buffer per image, one
+   char at a time, with an independent bitwise CRC-32. *)
+module Reference = struct
+  let crc32 s pos len =
+    let c = ref 0xFFFFFFFF in
+    for i = pos to pos + len - 1 do
+      c := !c lxor Char.code s.[i];
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done
+    done;
+    !c lxor 0xFFFFFFFF
+
+  let buf_u32 b n = Buffer.add_string b (u32 n)
+
+  let buf_f64 b x =
+    let bits = Int64.bits_of_float x in
+    for i = 7 downto 0 do
+      Buffer.add_char b
+        (Char.chr (Int64.to_int (Int64.shift_right_logical bits (i * 8)) land 0xFF))
+    done
+
+  let serialize t =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "PPVISTOR";
+    buf_u32 b 2;
+    buf_u32 b (List.length (Store.names t));
+    List.iter
+      (fun name ->
+        let x = Store.tensor t name in
+        let start = Buffer.length b in
+        buf_u32 b (String.length name);
+        Buffer.add_string b name;
+        let shape = Tensor.shape x in
+        buf_u32 b (Array.length shape);
+        Array.iter (buf_u32 b) shape;
+        Array.iter (buf_f64 b) (Tensor.to_array x);
+        let record = Buffer.sub b start (Buffer.length b - start) in
+        buf_u32 b (crc32 record 0 (String.length record)))
+      (Store.names t);
+    let body = Buffer.contents b in
+    buf_u32 b (crc32 body 0 (String.length body));
+    Buffer.contents b
+end
+
+let test_serialize_matches_reference () =
+  let store = sample_store () in
+  Alcotest.(check string) "same bytes" (Reference.serialize store)
+    (Store.serialize store);
+  (* Pinned: the image of [sample_store], as every writer of format 2
+     has produced it. *)
+  Alcotest.(check string) "committed checksum"
+    "9c5241f054395d32ba579055748843d2"
+    (Digest.to_hex (Digest.string (Store.serialize store)));
+  let path = tmp_file () in
+  Store.save store path;
+  Alcotest.(check string) "save writes the image" (Store.serialize store)
+    (read_file path)
+
 (* qcheck: random stores round-trip bit-exactly, including NaN. *)
 let float_gen =
   QCheck.Gen.(
@@ -321,6 +407,29 @@ let prop_roundtrip =
       let path = tmp_file () in
       Store.save store path;
       store_bits (Store.load path) = store_bits store)
+
+(* qcheck: the serializer is byte-identical to the reference on
+   random stores — ranks 0 to 3, empty dimensions, odd names, NaN,
+   infinities and -0.0. *)
+let prop_serialize_reference =
+  let entry =
+    QCheck.Gen.(
+      pair (string_size ~gen:printable (int_range 0 12))
+        (list_size (int_range 0 3) (int_range 0 4))
+      >>= fun (name, dims) ->
+      let n = List.fold_left ( * ) 1 dims in
+      map (fun data -> (name, Array.of_list dims, data)) (array_size (return n) float_gen))
+  in
+  QCheck.Test.make ~name:"serializer bytes = reference serializer" ~count:60
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 5) entry))
+    (fun entries ->
+      let store = Store.create () in
+      List.iteri
+        (fun i (name, shape, data) ->
+          Store.ensure store (Printf.sprintf "%s#%d" name i) (fun () ->
+              Tensor.of_array shape data))
+        entries;
+      Store.serialize store = Reference.serialize store)
 
 (* qcheck: chopping a random strict prefix always raises. *)
 let prop_prefix_corrupt =
@@ -361,6 +470,10 @@ let suites =
         Alcotest.test_case "short write fails save" `Quick
           test_short_write_fails_save;
         Alcotest.test_case "load_latest_result typed errors" `Quick
-          test_load_latest_result_typed_errors ]
+          test_load_latest_result_typed_errors;
+        Alcotest.test_case "stale latest pointer ignored" `Quick
+          test_stale_latest_pointer_ignored;
+        Alcotest.test_case "serializer matches reference" `Quick
+          test_serialize_matches_reference ]
       @ List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip; prop_prefix_corrupt ] ) ]
+          [ prop_roundtrip; prop_serialize_reference; prop_prefix_corrupt ] ) ]
