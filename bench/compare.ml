@@ -21,8 +21,8 @@
    `--speedup NAME:REF:FACTOR` is a cross-file gate: NAME's median in
    CURRENT must be at least FACTOR times faster than REF's median in
    BASELINE (matched on parameter value). Used to assert that the
-   staged-compilation gradient step holds its 2x win over the
-   committed pre-staging interpreter baseline. With `--only-gates`
+   VAE gradient step holds its 2x win over the committed batched
+   baseline. With `--only-gates`
    the baseline-coverage regression walk is skipped, so BASELINE and
    CURRENT may track different entry sets. *)
 

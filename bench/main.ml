@@ -812,73 +812,10 @@ let json ~quick () =
         e_samples = iwelbo_step false } ]
   in
   write_json "BENCH_batched.json" ~domains batched_entries;
-  (* Staged-compilation speedups: the VAE gradient step through its
-     execution plans next to the interpreter reference (both benefit
-     from the fused Bernoulli kernel; the committed BENCH_batched
-     baseline preserves the pre-staging reference that the CI speedup
-     gate compares against), plus the one-time staging cost itself. *)
+  (* The one-time staging cost of the VAE model/guide pair (the
+     analysis behind PV501 and [ppvi compile]). *)
   let compiled_entries =
-    let batch = 256 in
-    let images, _ = Data.digit_batch (Prng.key 2) batch in
-    let grad_step compiled =
-      run (fun () ->
-          let frame = Store.Frame.make store in
-          let s =
-            Adev.expectation
-              (Vae.elbo_per_datum ~compiled frame images)
-              (Prng.key 3)
-          in
-          Ad.backward s;
-          ignore (Sys.opaque_identity (Store.Frame.grads frame)))
-    in
-    (* Warm the plan cache before timing the compiled path, so the
-       entry measures steady-state execution, not staging. *)
-    let frame = Store.Frame.make store in
-    ignore
-      (Compile.plan_for ~id:"vae/model" (Gen.Packed (Vae.model frame images)));
-    ignore
-      (Compile.plan_for ~id:"vae/guide" (Gen.Packed (Vae.guide frame images)));
-    (* One gradient step through the cached plans; used both for wall
-       time (bechamel) and for minor-allocation accounting. *)
-    let one_step () =
-      let frame = Store.Frame.make store in
-      let s =
-        Adev.expectation (Vae.elbo_per_datum ~compiled:true frame images)
-          (Prng.key 3)
-      in
-      Ad.backward s;
-      ignore (Sys.opaque_identity (Store.Frame.grads frame))
-    in
-    (* Allocation per gradient step, in kwords (minor heap and major
-       heap separately — OCaml places float arrays longer than 256
-       words directly on the major heap, so the arena's big win shows
-       up in major words while the pool's zero-bookkeeping hot path
-       keeps minor words no worse). One warm-up step (the arena pool
-       populates its dynamically-sized size classes on the first run),
-       then the averaged Gc delta. Deterministic for a fixed batch, so
-       the CI gate compares the arena entries against the plain
-       compiled entries from the same run. *)
-    let alloc_kwords () =
-      one_step ();
-      let reps = 5 in
-      let s0 = Gc.quick_stat () in
-      for _ = 1 to reps do one_step () done;
-      let s1 = Gc.quick_stat () in
-      let per f = (f s1 -. f s0) /. float_of_int reps /. 1e3 in
-      ( per (fun (s : Gc.stat) -> s.Gc.minor_words),
-        per (fun (s : Gc.stat) ->
-            s.Gc.major_words -. s.Gc.promoted_words) )
-    in
-    (* A/B the same cached plans with and without their arena pools:
-       arena execution is on by default, so detach first for the
-       reference measurements, then re-attach. *)
-    Compile.set_arena_execution false;
-    let compiled = grad_step true in
-    let compiled_minor_kw, compiled_major_kw = alloc_kwords () in
-    Compile.set_arena_execution true;
-    let arena = grad_step true in
-    let arena_minor_kw, arena_major_kw = alloc_kwords () in
-    let interp = grad_step false in
+    let images, _ = Data.digit_batch (Prng.key 2) 256 in
     let staging =
       run (fun () ->
           let frame = Store.Frame.make store in
@@ -889,26 +826,7 @@ let json ~quick () =
                  Compile.compile ~id:"bench/vae/guide"
                    (Gen.Packed (Vae.guide frame images)) )))
     in
-    [ { e_name = "vae_grad_step_compiled"; e_pkey = "batch"; e_pval = batch;
-        e_samples = compiled };
-      { e_name = "vae_grad_step_arena"; e_pkey = "batch"; e_pval = batch;
-        e_samples = arena };
-      { e_name = "vae_grad_step_interp"; e_pkey = "batch"; e_pval = batch;
-        e_samples = interp };
-      (* Allocation pseudo-entries: the "ms" fields carry kwords per
-         gradient step (single deterministic sample). The CI gate
-         requires the arena entries to allocate measurably less than
-         the plain compiled entries from the same run, which keeps the
-         check machine-independent. *)
-      { e_name = "vae_grad_step_compiled_minor_kw"; e_pkey = "batch";
-        e_pval = batch; e_samples = [ compiled_minor_kw ] };
-      { e_name = "vae_grad_step_arena_minor_kw"; e_pkey = "batch";
-        e_pval = batch; e_samples = [ arena_minor_kw ] };
-      { e_name = "vae_grad_step_compiled_major_kw"; e_pkey = "batch";
-        e_pval = batch; e_samples = [ compiled_major_kw ] };
-      { e_name = "vae_grad_step_arena_major_kw"; e_pkey = "batch";
-        e_pval = batch; e_samples = [ arena_major_kw ] };
-      { e_name = "compile_once"; e_pkey = "programs"; e_pval = 2;
+    [ { e_name = "compile_once"; e_pkey = "programs"; e_pval = 2;
         e_samples = staging } ]
   in
   write_json "BENCH_compiled.json" ~domains compiled_entries
@@ -936,10 +854,9 @@ let memory ~quick () =
   let step remat () = Vae.grad_step_on store ~images ~segments ~remat key in
   let plain = run (step false) in
   let remat = run (step true) in
-  (* GC pressure per gradient step, in kwords, as in the compiled
-     suite: one warm-up step (the segment pool populates its size
-     classes on the first checkpointed run), then the averaged Gc
-     delta over a fixed rep count. *)
+  (* GC pressure per gradient step, in kwords: one warm-up step (the
+     segment pool populates its size classes on the first checkpointed
+     run), then the averaged Gc delta over a fixed rep count. *)
   let alloc_kwords remat =
     step remat ();
     let reps = 5 in

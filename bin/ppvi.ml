@@ -355,6 +355,30 @@ let finish_run r store =
     Fault.clear ()
   end
 
+(* Socket-layer failures (no daemon listening, unbindable path, peer
+   gone mid-call) are expected operational errors: one clean line and
+   exit 1, never an uncaught exception. *)
+let socket_errors f =
+  try f () with
+  | Unix.Unix_error (e, fn, arg) ->
+    Printf.eprintf "ppvi: %s%s: %s\n" fn
+      (if arg = "" then "" else " " ^ arg)
+      (Unix.error_message e);
+    exit 1
+  | Failure msg ->
+    Printf.eprintf "ppvi: %s\n" msg;
+    exit 1
+
+(* A checkpoint write that still fails after its retry budget reaches
+   a training command as [Sys_error] (from [Persist]): one clean line
+   and exit 1, never an uncaught exception. The other file errors of
+   these commands (--resume, --checkpoint, --trace) are reported where
+   they happen. *)
+let checkpoint_errors f =
+  try f () with Sys_error msg ->
+    Printf.eprintf "ppvi: cannot write checkpoint: %s\n" msg;
+    exit 1
+
 (* cone *)
 
 let cone_objective_conv =
@@ -370,6 +394,7 @@ let cone_objective_conv =
 
 let cone_cmd =
   let run objective steps seed csv resilience pf obs =
+   checkpoint_errors @@ fun () ->
     obs_setup obs;
     run_preflight pf "cone/";
     let store, reports =
@@ -400,6 +425,7 @@ let cone_cmd =
 
 let coin_cmd =
   let run steps seed csv resilience pf obs =
+   checkpoint_errors @@ fun () ->
     obs_setup obs;
     run_preflight pf "coin";
     let store, reports, seconds =
@@ -426,6 +452,7 @@ let coin_cmd =
 
 let regression_cmd =
   let run steps seed csv resilience pf obs =
+   checkpoint_errors @@ fun () ->
     obs_setup obs;
     run_preflight pf "regression";
     let store, reports, seconds =
@@ -486,6 +513,7 @@ let remat_arg =
 
 let vae_cmd =
   let run steps batch shards remat seed csv resilience pf obs =
+   checkpoint_errors @@ fun () ->
     obs_setup obs;
     run_preflight pf "vae";
     let store, reports =
@@ -579,8 +607,7 @@ let profile_target_conv =
       ("vae", `Vae) ]
 
 let profile_cmd =
-  let run () target objective steps batch shards remat compiled seed json
-      trace =
+  let run () target objective steps batch shards remat seed json trace =
     (* Recording is on for the whole run; the trace file (when given)
        receives every sampled event, and the aggregate tables go to
        stdout at the end. The parallel counters are cumulative
@@ -602,11 +629,10 @@ let profile_cmd =
         ignore (Regression.train ~steps (Prng.key seed));
         "regression"
       | `Vae ->
-        ignore (Vae.train ~steps ~batch ~shards ~remat ~compiled (Prng.key seed));
-        Printf.sprintf "vae (batch %d%s%s%s)" batch
+        ignore (Vae.train ~steps ~batch ~shards ~remat (Prng.key seed));
+        Printf.sprintf "vae (batch %d%s%s)" batch
           (if shards > 1 then Printf.sprintf ", %d shards" shards else "")
           (if remat then ", remat" else "")
-          (if compiled then ", compiled" else "")
     in
     obs_gauges ();
     if json then print_endline (Obs.report_json ())
@@ -644,15 +670,7 @@ let profile_cmd =
                  which is what makes the estimator ranking interesting.")
       $ steps_arg 150
       $ Arg.(value & opt int 64 & info [ "batch" ] ~doc:"VAE batch size.")
-      $ shards_arg $ remat_arg
-      $ Arg.(
-          value & flag
-          & info [ "compiled" ]
-              ~doc:
-                "Train the VAE through its staged execution plans: the \
-                 report then shows the one-time compile/* spans and the \
-                 plan-cache hit/miss counters (staging amortization).")
-      $ seed_arg
+      $ shards_arg $ remat_arg $ seed_arg
       $ Arg.(
           value & flag
           & info [ "json" ]
@@ -753,7 +771,7 @@ let compile_cmd =
         List.length
           (List.filter (fun (_, r) -> match r with Compile.Compiled _ -> true | _ -> false) results)
       in
-      Printf.printf "%d/%d programs compiled (the rest run on the interpreter)\n"
+      Printf.printf "%d/%d programs compiled (the rest refuse with PV501)\n"
         compiled (List.length results)
     end
   in
@@ -763,7 +781,8 @@ let compile_cmd =
          "Stage the built-in generative programs into straight-line \
           execution plans and print them: the slot table, the fused \
           per-site kernels, sequential plate fallbacks, and PV501 \
-          refusals for programs whose structure is not static (see \
+          refusals for programs whose structure is not static. Analysis \
+          only: every program runs on the interpreter (see \
           docs/COMPILATION.md).")
     Term.(
       const run $ const ()
@@ -1201,20 +1220,6 @@ let serve_fault_term =
         value & opt int 0
         & info [ "fault-seed" ] ~docv:"N"
             ~doc:"Seed for the --fault plan's own PRNG stream."))
-
-(* Socket-layer failures (no daemon listening, unbindable path, peer
-   gone mid-call) are expected operational errors: one clean line and
-   exit 1, never an uncaught exception. *)
-let socket_errors f =
-  try f () with
-  | Unix.Unix_error (e, fn, arg) ->
-    Printf.eprintf "ppvi: %s%s: %s\n" fn
-      (if arg = "" then "" else " " ^ arg)
-      (Unix.error_message e);
-    exit 1
-  | Failure msg ->
-    Printf.eprintf "ppvi: %s\n" msg;
-    exit 1
 
 let serve_cmd =
   let run () () transport () max_batch max_wait_us queue_bound params_root

@@ -61,24 +61,9 @@ let reset_live_stats () =
   Atomic.set live_nodes 0;
   Atomic.set peak_live 0
 
-(* Rematerialization state, all domain-local. [replaying] is consulted
-   by the compiled executors in [Gen]: a replay runs during [backward],
-   after the epoch has advanced, so an arena-backed plan would reset
-   its pool over buffers the main tape still references — replays
-   bypass arenas entirely. [remat_depth] keeps nested checkpoints from
-   resetting the segment pool while an enclosing segment's tensors are
-   still live. *)
-let replaying_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let replaying () = Domain.DLS.get replaying_key
-
-let shard_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let shard_mode () = Domain.DLS.get shard_key
-
-let with_shard_mode f =
-  let saved = Domain.DLS.get shard_key in
-  Domain.DLS.set shard_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set shard_key saved) f
-
+(* Rematerialization state, domain-local: [remat_depth] keeps nested
+   checkpoints from resetting the segment pool while an enclosing
+   segment's tensors are still live. *)
 let remat_depth : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
 (* The segment pool: recycles the transient tensor buffers of
@@ -129,15 +114,6 @@ let accumulate t delta =
        allocating broadcast add. *)
     t.g <- Some (Tensor.add g delta);
     t.g_owned <- true
-
-(* Monotone count of completed backward passes. The arena-backed
-   compiled executors gate their buffer-pool resets on this: a plan's
-   pool is only reset once a backward has happened since its last
-   arena run, i.e. once the previous surrogate's tape has been
-   consumed and its pooled buffers can no longer be read. Atomic: the
-   sharded driver runs one backward per shard on worker domains. *)
-let backward_passes = Atomic.make 0
-let backward_epoch () = Atomic.get backward_passes
 
 (* [local_sweep ~stop root seed] seeds [root] with [seed] and runs the
    reverse sweep over every node reachable from it whose id is > [stop]
@@ -224,8 +200,6 @@ let rec local_sweep ~stop root seed =
 and replay f g =
   Atomic.incr remat_replay_total;
   let depth = Domain.DLS.get remat_depth in
-  let saved_replaying = Domain.DLS.get replaying_key in
-  Domain.DLS.set replaying_key true;
   incr depth;
   let saved_pool = Tensor.current_pool () in
   let pool = Domain.DLS.get segment_pool in
@@ -235,8 +209,7 @@ and replay f g =
   let created0 = tl.created and retired0 = tl.retired in
   let finish () =
     Tensor.set_pool saved_pool;
-    decr depth;
-    Domain.DLS.set replaying_key saved_replaying
+    decr depth
   in
   (match
      !replay_silencer (fun () ->
@@ -274,7 +247,6 @@ and replay f g =
 let backward root =
   if not (Tensor.is_scalar root.v || Tensor.size root.v = 1) then
     invalid_arg "Ad.backward: root is not a scalar";
-  Atomic.incr backward_passes;
   let swept = local_sweep ~stop:0 root (Tensor.ones (Tensor.shape root.v)) in
   (* The tape is consumed: every swept node retires (leaves included —
      a fresh frame hands out fresh leaves next step). *)

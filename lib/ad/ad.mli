@@ -91,40 +91,16 @@ val checkpoint : ?pool:bool -> (unit -> t) -> t
     segments share the pool without resetting it). If [f] returns a
     node that predates the call, it is returned unchanged. *)
 
-val replaying : unit -> bool
-(** [true] while a checkpoint segment is being rematerialized on this
-    domain. The arena-backed compiled executors in [Gen] bypass their
-    buffer pools during replay: a replay runs mid-[backward], after
-    the epoch has advanced, so an arena reset would recycle buffers
-    the main tape still references. *)
-
 val set_replay_silencer : ((unit -> unit) -> unit) -> unit
 (** Install the wrapper run around every segment replay. [Adev]
     registers [Obs.suppress] so a replay's re-executed user code does
     not double-report site timings and estimator statistics. *)
-
-(** {1 Sharded execution} *)
-
-val shard_mode : unit -> bool
-(** [true] inside a data-parallel shard block (see [Train]). Compiled
-    executors bypass plan-owned mutable state — arenas and scratch
-    reuse — under shard mode, since several domains may execute the
-    same plan concurrently. *)
-
-val with_shard_mode : (unit -> 'a) -> 'a
-(** Run a thunk with {!shard_mode} set on the current domain. *)
 
 (** {1 Differentiation} *)
 
 val backward : t -> unit
 (** Seed the (scalar) root with gradient 1 and backpropagate. Safe to
     call once per graph. @raise Invalid_argument on a non-scalar root. *)
-
-val backward_epoch : unit -> int
-(** Monotone count of completed {!backward} passes. The arena-backed
-    compiled executors in [Gen] gate buffer-pool resets on this
-    counter: recycling a plan's buffers is only safe once the tape
-    built from them has been consumed by a backward pass. *)
 
 val grad : t -> Tensor.t
 (** The gradient accumulated into this node by the last {!backward}

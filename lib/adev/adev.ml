@@ -243,23 +243,8 @@ let delay f key k = (f ()) key k
 let score w _key k = Ad.mul w (k ())
 let score_log lw key k = score (Ad.exp lw) key k
 
-(* Entry points restore the ambient tensor pool on the way out (normal
-   return or exception): a compiled program under the key may install
-   its arena for the duration of the run, and an escaping exception
-   (guard trip, injected fault) must not leave a stale pool routing
-   unrelated allocations. *)
-let protect_pool f =
-  let saved = Tensor.current_pool () in
-  match f () with
-  | r ->
-    Tensor.set_pool saved;
-    r
-  | exception e ->
-    Tensor.set_pool saved;
-    raise e
-
-let run m key k = protect_pool (fun () -> m key k)
-let expectation m key = protect_pool (fun () -> m key (fun x -> x))
+let run m key k = m key k
+let expectation m key = m key (fun x -> x)
 
 (* Register the replay silencer: a checkpoint-segment replay re-runs
    estimator code whose Obs hooks (site timers, Welford accumulators)

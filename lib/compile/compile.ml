@@ -1,4 +1,4 @@
-(* Staged compilation of generative programs (see compile.mli).
+(* Staging analysis of generative programs (see compile.mli).
 
    The structure-discovery walk is Check.trail — the same abstract
    interpretation the preflight analyzer runs, so one traversal serves
@@ -22,9 +22,7 @@ let refuse ?address fmt =
 
 (* Primitives whose log-density evaluates through a fused kernel (one
    pass over the data instead of a composed softplus/mul/add chain).
-   Purely descriptive: the fusion lives in lib/dist and fires for the
-   interpreter too, which is what keeps compiled and interpreted
-   execution bit-identical. *)
+   Purely descriptive: the fusion lives in lib/dist. *)
 let fused_density = function
   | "bernoulli_logits_vector" -> true
   | _ -> false
@@ -73,9 +71,9 @@ let step_of_trail (ts : Check.trail_step) : Gen.Plan.step =
         st_fused = fused_density (Option.value t_dist ~default:"") }
     | None ->
       (* Sequential fallback: the interpreter loop runs the body per
-         instance. A re-entrant body (ENUM/MVD inside the plate) would
-         re-run the fallback's continuation against the shared plan
-         cursor, so it cannot be staged even behind the fallback. *)
+         instance. A re-entrant body (ENUM/MVD inside the plate) re-runs
+         the fallback's continuation, so the program is not
+         straight-line even behind the fallback. *)
       if t_body_reentrant then
         refuse
           "a sequential-fallback plate body contains a site that re-runs its \
@@ -105,10 +103,9 @@ let step_of_trail (ts : Check.trail_step) : Gen.Plan.step =
 (* ------------------------------------------------------------------ *)
 (* Address-uniqueness analysis                                         *)
 
-(* The compiled density executor counts consumed trace entries instead
-   of threading a shrinking remainder map, which is only equivalent when
-   every plan address is globally unique — including the suffixed
-   [addr[i]] families a sequential-fallback plate binds at runtime. *)
+(* A plan's slot table requires every address to be globally unique —
+   including the suffixed [addr[i]] families a sequential-fallback
+   plate binds at runtime. *)
 
 let suffixed addr i = Printf.sprintf "%s[%d]" addr i
 
@@ -227,42 +224,15 @@ let compile ?fuel ?max_width ~id packed =
 
 let cache : (string, result) Hashtbl.t = Hashtbl.create 16
 
-(* The cache is consulted from sharded training blocks running on
-   worker domains; a mutex keeps concurrent first-compilations of the
-   same step from corrupting the table. Staging inside the lock is
-   fine — it happens once per program id. *)
+(* [plan_for] may be called from any domain or thread; a mutex keeps
+   concurrent first-compilations of the same id from corrupting the
+   table. Staging inside the lock is fine — it happens once per
+   program id. *)
 let cache_mutex = Mutex.create ()
 
 let with_cache_lock f =
   Mutex.lock cache_mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache_mutex) f
-
-(* Arena execution: cached plans carry a warmed buffer pool computed
-   from the static liveness layout, so every compiled run recycles its
-   op-output buffers instead of minor-allocating them. On by default;
-   [set_arena_execution false] detaches for A/B measurement (the
-   uncached [compile] never attaches, so tests can compare the same
-   plan with and without an arena). *)
-let arena_execution = ref true
-
-let attach_arena plan =
-  let layout = Layout.of_plan plan in
-  let pool = Layout.pool_of layout in
-  if Obs.live () then
-    Obs.gauge "arena/static_bytes" (float_of_int (Layout.arena_bytes layout));
-  Gen.Plan.set_arena plan (Some pool)
-
-let set_arena_execution enabled =
-  arena_execution := enabled;
-  Hashtbl.iter
-    (fun _ r ->
-      match r with
-      | Compiled plan ->
-        if enabled then attach_arena plan else Gen.Plan.set_arena plan None
-      | Refused _ -> ())
-    cache
-
-let arena_execution_enabled () = !arena_execution
 
 let plan_for ?fuel ?max_width ~id packed =
   with_cache_lock (fun () ->
@@ -281,7 +251,7 @@ let plan_for ?fuel ?max_width ~id packed =
           Obs.incr "compile/refused";
           Obs.message Obs.Preflight
             (Printf.sprintf "compile/%s refused (PV501): %s" id r_reason)
-        | Compiled plan -> if !arena_execution then attach_arena plan);
+        | Compiled _ -> ());
         Hashtbl.replace cache id r;
         r)
 
@@ -385,22 +355,6 @@ let describe ~id result =
           (if s.st_n <> 1 then Printf.sprintf " n=%d" s.st_n else "")
           (if s.st_fused then " [fused kernel]" else ""))
       steps;
-    let layout = Layout.of_plan plan in
-    pr "  arena layout (static liveness, floats):\n";
-    List.iter
-      (fun (iv : Layout.interval) ->
-        pr "    %-16s %-14s live=[%d,%d] offset=%d extent=%d\n"
-          iv.Layout.iv_label (kind_str iv.Layout.iv_kind) iv.Layout.iv_start
-          iv.Layout.iv_stop iv.Layout.iv_offset iv.Layout.iv_extent)
-      layout.Layout.intervals;
-    pr "    total %d floats (%d bytes); naive (no reuse) %d floats%s\n"
-      layout.Layout.arena_floats
-      (Layout.arena_bytes layout)
-      layout.Layout.naive_floats
-      (if layout.Layout.unknown > 0 then
-         Printf.sprintf "; %d step(s) not statically sized"
-           layout.Layout.unknown
-       else "");
     (match yolo_sketch plan with
     | None -> ()
     | Some prog ->
@@ -465,24 +419,6 @@ let to_json ~id result =
         pr "}")
       (Gen.Plan.steps plan);
     pr "]";
-    let layout = Layout.of_plan plan in
-    pr ",\"arena\":{\"floats\":%d,\"bytes\":%d,\"naive_floats\":%d,\
-        \"unknown\":%d,\"intervals\":["
-      layout.Layout.arena_floats
-      (Layout.arena_bytes layout)
-      layout.Layout.naive_floats layout.Layout.unknown;
-    List.iteri
-      (fun i (iv : Layout.interval) ->
-        if i > 0 then pr ",";
-        pr
-          "{\"label\":\"%s\",\"kind\":\"%s\",\"start\":%d,\"stop\":%d,\
-           \"offset\":%d,\"extent\":%d}"
-          (json_escape iv.Layout.iv_label)
-          (json_escape (kind_str iv.Layout.iv_kind))
-          iv.Layout.iv_start iv.Layout.iv_stop iv.Layout.iv_offset
-          iv.Layout.iv_extent)
-      layout.Layout.intervals;
-    pr "]}";
     match yolo_sketch plan with
     | None -> ()
     | Some prog ->

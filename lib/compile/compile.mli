@@ -1,15 +1,13 @@
-(** Staged compilation: partially evaluate a generative program once
+(** Staging analysis: partially evaluate a generative program once
     into a straight-line execution plan.
 
     [compile] reuses the preflight abstract-interpretation walk
     ({!Check.trail}) to discover a program's site structure, then
-    freezes it into a {!Gen.Plan.t}: addresses interned to integer
-    slots, plate lowering decisions pre-made, fused density kernels
-    identified, and per-run buffers preallocated. The compiled
-    executors ([Gen.simulate_compiled] / [Gen.log_density_compiled])
-    then skip the interpreter's per-call discovery work while staying
-    {e bit-identical} to it — same [Prng.fold_in] key discipline, same
-    floating-point accumulation order.
+    freezes it into an immutable {!Gen.Plan.t}: addresses interned to
+    integer slots, plate lowering decisions pre-made, and fused
+    density kernels identified. Plans are analysis only — they back
+    the PV501 verdicts, the [Shape.of_plan] tables and [ppvi compile];
+    every program runs on the interpreter.
 
     Programs whose structure is not static refuse compilation with
     diagnostic {b PV501} (see [docs/DIAGNOSTICS.md]): data-dependent
@@ -17,8 +15,7 @@
     re-run their continuation (ENUM/MVD enumeration, [marginal] /
     [normalize] sub-inference), truncated analysis, or address
     collisions that would break the plan's slot-table uniqueness.
-    Refusal is a normal value, not an error: callers fall back to the
-    interpreter. *)
+    Refusal is a normal value, not an error. *)
 
 type refusal = {
   r_code : string;  (** Stable diagnostic code; currently ["PV501"]. *)
@@ -38,22 +35,7 @@ val plan_for : ?fuel:int -> ?max_width:int -> id:string -> Gen.packed -> result
     observability counters; each miss runs under a
     ["compile/<id>"] preflight span so [ppvi profile] shows staging
     amortization. Refusals are cached too (counter
-    ["compile/refused"]), so the interpreter fallback pays the walk
-    only once.
-
-    When arena execution is enabled (the default), freshly compiled
-    plans are attached a buffer pool pre-seeded from their static
-    liveness layout ({!Layout.of_plan}), so compiled runs recycle
-    op-output buffers instead of minor-allocating them. The uncached
-    {!compile} never attaches a pool — tests and benchmarks use it to
-    A/B the same plan with and without an arena. *)
-
-val set_arena_execution : bool -> unit
-(** Toggle arena-backed execution for {!plan_for} plans. Applies to
-    plans already in the cache (attaching or detaching their pools)
-    and to future compilations. Default: enabled. *)
-
-val arena_execution_enabled : unit -> bool
+    ["compile/refused"]), so the walk runs only once per id. *)
 
 val invalidate : string -> unit
 (** Drop the cached result for one plan id; the next {!plan_for} call

@@ -753,9 +753,7 @@ let bernoulli_logits_vector logits =
       (* Observed data is a leaf (no gradient flows into [x]), which is
          exactly when the fused scoring kernel's custom adjoint
          [g * (x - sigmoid l)] is the whole gradient — one pass over the
-         likelihood instead of the composed softplus/mul/add chain.
-         Shared by the interpreter and the staged executors, so the
-         bit-identity invariant between them is untouched. *)
+         likelihood instead of the composed softplus/mul/add chain. *)
       if Ad.is_leaf x then
         Ad.sum (Ad.bernoulli_logits_scores ~x:(Ad.value x) logits)
       else log_density_bernoulli_logits ~logits x)

@@ -133,35 +133,14 @@ let plate_plan : type a. int -> (int -> a t) -> a plate_plan option =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Execution plans (staged compilation)
+(* Execution plans (static analysis)
 
    A [Plan.t] is the residue of partially evaluating a program once:
    the straight-line sequence of its sample/observe/plate sites with
    addresses interned to integer slots, plate lowering decisions
-   pre-made, and batch shapes recorded. The compiled executors below
-   walk the program against its plan — the program still drives control
-   flow (binds may compute on sampled values), but every per-call
-   discovery the interpreter repeats (trace-map building, plate
-   i.i.d. probing, remainder threading) is replaced by O(1) slot
-   operations. Plans are built by [lib/compile]; construction refuses
-   any program whose structure could differ between runs, which is what
-   lets the executors assume the plan's site order. *)
-
-(* Reusable per-run buffers (the "arena"): one scratch of each kind is
-   cached on the plan and reused across calls; a run that finds the
-   scratch taken (re-entrant execution, e.g. under an enclosing ENUM
-   site) allocates a fresh one, so reuse is purely an optimization. *)
-type sim_scratch = {
-  mutable xcursor : int;
-  xslots : Value.t option array;
-  mutable xextra : Trace.t list;  (* sequential-plate fallback traces *)
-}
-
-type dens_scratch = {
-  mutable dcursor : int;
-  dvals : Value.t option array;  (* per-slot trace values, resolved once *)
-  mutable dconsumed : int;
-}
+   pre-made, and batch shapes recorded. Plans are built by
+   [lib/compile] and read by the PV501 verdicts, the shape tables and
+   [ppvi compile]; programs always run on the interpreter below. *)
 
 module Plan = struct
   type kind = Sample_site | Observe_site | Plate_batched | Plate_seq
@@ -182,21 +161,12 @@ module Plan = struct
     p_steps : step array;
     p_slots : string array;  (* slot -> interned trace address *)
     p_seq_fallbacks : int;
-    mutable p_sim_scratch : sim_scratch option;
-    mutable p_dens_scratch : dens_scratch option;
-    mutable p_arena : Tensor.Pool.t option;
-        (* buffer pool installed for the duration of compiled runs *)
-    mutable p_arena_epoch : int;
-        (* [Ad.backward_epoch] at this plan's last arena run; the pool
-           is only reset when a backward has happened since, i.e. when
-           the previous surrogate's tape has been consumed. -1 = never
-           ran. *)
   }
 
   (* [make ~id steps] interns the trace-binding steps' addresses into
      slots (in step order, overwriting any [st_slot] the caller set) and
-     freezes the plan. Addresses must be distinct — the executors'
-     consumption counting depends on it. *)
+     freezes the plan. Addresses must be distinct: the slot table names
+     each trace address once. *)
   let make ~id steps =
     let slots = ref [] and nslots = ref 0 and fallbacks = ref 0 in
     let steps =
@@ -225,33 +195,13 @@ module Plan = struct
     { p_id = id;
       p_steps = Array.of_list steps;
       p_slots = slots;
-      p_seq_fallbacks = !fallbacks;
-      p_sim_scratch = None;
-      p_dens_scratch = None;
-      p_arena = None;
-      p_arena_epoch = -1 }
+      p_seq_fallbacks = !fallbacks }
 
   let id p = p.p_id
   let steps p = p.p_steps
   let slots p = p.p_slots
   let seq_fallbacks p = p.p_seq_fallbacks
-
-  let set_arena p arena =
-    p.p_arena <- arena;
-    p.p_arena_epoch <- -1
-
-  let arena p = p.p_arena
 end
-
-exception Plan_mismatch of string
-
-let plan_mismatch plan msg =
-  raise
-    (Plan_mismatch
-       (Printf.sprintf
-          "compiled plan %S is stale: %s (recompile the model or drop \
-           ?compiled)"
-          plan.Plan.p_id msg))
 
 (* sim (Fig. 5, bottom): run the program through each primitive's
    strategy, building the trace and its log density. *)
@@ -533,350 +483,6 @@ and density_plate_seq :
       go (i + 1) (Ad.add w_i w) (x_i :: vals) u
   in
   go 0 (Ad.scalar 0.) [] u
-
-(* ------------------------------------------------------------------ *)
-(* Compiled execution against a Plan.
-
-   The flagship invariant: compiled execution is bit-identical to the
-   interpreter. The executors mirror the interpreter's exact monadic
-   shapes — the same [let*] structure per constructor (so [Adev.bind]'s
-   key splitting derives the same [Prng] keys at every site), and the
-   same [Ad.add] tree over weights (floating-point addition is not
-   associative, so the accumulation order is part of the contract).
-   [Adev.delay] and [Adev.map] are key-transparent, which is what lets
-   the wrappers below reshape results without perturbing the ambient
-   key. What the plan removes: per-site [Trace] map construction and
-   merging (values land in a preallocated slot array), per-call plate
-   i.i.d. probing (the lowering decision is pre-made), and the density
-   evaluator's remainder threading (one [Trace.find_opt] per slot up
-   front, then consumption counting). *)
-
-(* Arena-backed execution. When a plan carries a pool (attached by
-   [Compile.plan_for]'s static layout), a compiled run installs it as
-   the ambient tensor allocator for its own duration: every op-output
-   buffer of the forward pass comes from the pool's free lists. The
-   pool is reset — recycling the previous run's buffers — only when
-   [Ad.backward_epoch] has advanced since this plan's last arena run,
-   so multi-sample estimators that stack several forward tapes before
-   one backward ([Adev.expectation_mean], replicated particles) never
-   recycle a buffer a live tape still references. [Adev.run] /
-   [Adev.expectation] restore the caller's ambient pool even on
-   exceptional exit. *)
-type arena_token = No_arena | Installed of Tensor.Pool.t option
-
-(* Plan-owned mutable state (arena pool, scratch frames) must not be
-   touched during a checkpoint replay — the replay runs mid-[backward],
-   after the epoch has advanced, so the gate below would reset the pool
-   over buffers the main tape still references — nor under the sharded
-   training driver, where several domains can execute the same plan
-   concurrently. Both modes fall back to plain heap allocation and
-   fresh scratch, which is bit-identical by the pool contract. *)
-let plan_state_bypass () = Ad.replaying () || Ad.shard_mode ()
-
-let arena_enter plan =
-  if plan_state_bypass () then No_arena
-  else
-  match plan.Plan.p_arena with
-  | None -> No_arena
-  | Some pool ->
-    let prev = Tensor.current_pool () in
-    let epoch = Ad.backward_epoch () in
-    if epoch <> plan.Plan.p_arena_epoch then begin
-      Tensor.Pool.reset pool;
-      plan.Plan.p_arena_epoch <- epoch
-    end;
-    if Obs.live () then begin
-      Obs.gauge "arena/bytes" (float_of_int (Tensor.Pool.bytes pool));
-      Obs.gauge "arena/hits" (float_of_int (Tensor.Pool.hits pool));
-      Obs.gauge "arena/misses" (float_of_int (Tensor.Pool.misses pool))
-    end;
-    Tensor.set_pool (Some pool);
-    Installed prev
-
-let arena_exit = function
-  | No_arena -> ()
-  | Installed prev -> Tensor.set_pool prev
-
-let acquire_sim plan =
-  match (if plan_state_bypass () then None else plan.Plan.p_sim_scratch) with
-  | Some st ->
-    plan.Plan.p_sim_scratch <- None;
-    st.xcursor <- 0;
-    Array.fill st.xslots 0 (Array.length st.xslots) None;
-    st.xextra <- [];
-    st
-  | None ->
-    { xcursor = 0;
-      xslots = Array.make (Array.length plan.Plan.p_slots) None;
-      xextra = [] }
-
-let release_sim plan st =
-  if not (plan_state_bypass ()) then plan.Plan.p_sim_scratch <- Some st
-
-let acquire_dens plan u =
-  let st =
-    match (if plan_state_bypass () then None else plan.Plan.p_dens_scratch) with
-    | Some st ->
-      plan.Plan.p_dens_scratch <- None;
-      st.dcursor <- 0;
-      st.dconsumed <- 0;
-      st
-    | None ->
-      { dcursor = 0;
-        dvals = Array.make (Array.length plan.Plan.p_slots) None;
-        dconsumed = 0 }
-  in
-  let slots = plan.Plan.p_slots in
-  for i = 0 to Array.length slots - 1 do
-    st.dvals.(i) <- Trace.find_opt slots.(i) u
-  done;
-  st
-
-let release_dens plan st =
-  if not (plan_state_bypass ()) then plan.Plan.p_dens_scratch <- Some st
-
-(* Verify that the runtime site at [cursor] matches the plan and return
-   its step. The address check is what makes [Plan_mismatch] a hard
-   error rather than silent corruption when a model's structure drifts
-   from its cached plan. *)
-let advance plan cursor kind addr =
-  let steps = plan.Plan.p_steps in
-  if cursor >= Array.length steps then
-    plan_mismatch plan
-      (Printf.sprintf "site %S appears after the last of %d planned sites" addr
-         (Array.length steps));
-  let step = steps.(cursor) in
-  if step.Plan.st_kind <> kind || not (String.equal step.Plan.st_addr addr) then
-    plan_mismatch plan
-      (Printf.sprintf "runtime site %S does not match planned site %S (step %d)"
-         addr step.Plan.st_addr cursor);
-  step
-
-let advance_plate plan cursor n =
-  let steps = plan.Plan.p_steps in
-  if cursor >= Array.length steps then
-    plan_mismatch plan "a plate appears after the last planned site";
-  let step = steps.(cursor) in
-  (match step.Plan.st_kind with
-  | Plan.Plate_batched | Plan.Plate_seq ->
-    if step.Plan.st_n <> n then
-      plan_mismatch plan
-        (Printf.sprintf "plate %S has %d instances at runtime but %d in the plan"
-           step.Plan.st_addr n step.Plan.st_n)
-  | Plan.Sample_site | Plan.Observe_site ->
-    plan_mismatch plan
-      (Printf.sprintf "runtime plate does not match planned site %S (step %d)"
-         step.Plan.st_addr cursor));
-  step
-
-let rec exec_simulate : type a. Plan.t -> sim_scratch -> a t -> (a * Ad.t) Adev.t
-    =
- fun plan st prog ->
-  let open Adev.Syntax in
-  match prog with
-  | Return x -> Adev.return (x, Ad.scalar 0.)
-  | Bind (m, f) ->
-    let* x, w1 = exec_simulate plan st m in
-    let* y, w2 = exec_simulate plan st (f x) in
-    Adev.return (y, Ad.add w1 w2)
-  | Sample (d, name) ->
-    let step = advance plan st.xcursor Plan.Sample_site name in
-    st.xcursor <- st.xcursor + 1;
-    let* x = Adev.sample_at name d in
-    let v = d.Dist.inject x in
-    Value.register_origin_value v ~address:name
-      ~strategy:(Dist.strategy_name d.Dist.strategy) ();
-    st.xslots.(step.Plan.st_slot) <- Some v;
-    Adev.return (x, timed_density d x)
-  | Observe (d, v) ->
-    ignore (advance plan st.xcursor Plan.Observe_site d.Dist.name : Plan.step);
-    st.xcursor <- st.xcursor + 1;
-    let lw = timed_density d v in
-    let* () = Adev.score_log lw in
-    Adev.return ((), lw)
-  | Plate (n, body) -> exec_simulate_plate plan st n body
-  | Marginal (_, _, _) ->
-    plan_mismatch plan "a marginal construct was reached under a compiled plan"
-  | Normalize (_, _) ->
-    plan_mismatch plan "a normalize construct was reached under a compiled plan"
-
-and exec_simulate_plate :
-    type b.
-    Plan.t -> sim_scratch -> int -> (int -> b t) -> (b array * Ad.t) Adev.t =
- fun plan st n body ->
-  let step = advance_plate plan st.xcursor n in
-  st.xcursor <- st.xcursor + 1;
-  match step.Plan.st_kind with
-  | Plan.Plate_batched -> begin
-    (* The pre-made lowering decision replaces [plate_plan]'s O(n)
-       probe draws; only the body's head site is re-extracted. *)
-    match body 0 with
-    | Sample (d, addr)
-      when String.equal addr step.Plan.st_addr && d.Dist.batched <> None ->
-      let b = Option.get d.Dist.batched in
-      Adev.keyed (fun key ->
-          let open Adev.Syntax in
-          Obs.incr "gen/plate_batched";
-          let* x = Adev.with_key key (Adev.sample_batched_at addr ~n d) in
-          let v = d.Dist.inject x in
-          Value.register_origin_value v ~address:addr
-            ~strategy:(Dist.strategy_name d.Dist.strategy) ();
-          st.xslots.(step.Plan.st_slot) <- Some v;
-          Adev.return
-            (b.Dist.unstack n x, Ad.sum (timed_density_n b d.Dist.name x)))
-    | _ ->
-      plan_mismatch plan
-        (Printf.sprintf "plate body at %S no longer lowers to a batched site"
-           step.Plan.st_addr)
-  end
-  | Plan.Plate_seq ->
-    (* Faithful fallback: the interpreter's sequential path, whose
-       internal samples are all keyed by [Prng.fold_in key i] under
-       [with_key], so the wrapping bind's ambient split is never
-       observed. *)
-    Adev.keyed (fun key ->
-        let open Adev.Syntax in
-        Obs.incr "gen/plate_seq";
-        let* xs, t, w = simulate_plate_seq n body key in
-        st.xextra <- t :: st.xextra;
-        Adev.return (xs, w))
-  | Plan.Sample_site | Plan.Observe_site -> assert false (* advance_plate *)
-
-let compiled_trace plan st =
-  let nslots = Array.length plan.Plan.p_slots in
-  let bindings = ref [] in
-  for i = nslots - 1 downto 0 do
-    match st.xslots.(i) with
-    | Some v -> bindings := (plan.Plan.p_slots.(i), v) :: !bindings
-    | None ->
-      plan_mismatch plan
-        (Printf.sprintf "planned site %S never executed" plan.Plan.p_slots.(i))
-  done;
-  List.fold_left
-    (fun acc t -> Trace.union_disjoint acc t)
-    (Trace.of_list !bindings) (List.rev st.xextra)
-
-let simulate_compiled : type a. Plan.t -> a t -> (a * Trace.t * Ad.t) Adev.t =
- fun plan prog ->
-  Adev.delay (fun () ->
-      let tok = arena_enter plan in
-      let st = acquire_sim plan in
-      Adev.map
-        (fun (x, w) ->
-          arena_exit tok;
-          if st.xcursor <> Array.length plan.Plan.p_steps then
-            plan_mismatch plan
-              (Printf.sprintf "the program finished after %d of %d planned sites"
-                 st.xcursor
-                 (Array.length plan.Plan.p_steps));
-          let trace = compiled_trace plan st in
-          release_sim plan st;
-          (x, trace, w))
-        (exec_simulate plan st prog))
-
-let rec exec_density :
-    type a. Plan.t -> dens_scratch -> a t -> Trace.t -> (Ad.t * a) Adev.t =
- fun plan st prog u ->
-  let open Adev.Syntax in
-  match prog with
-  | Return x -> Adev.return (Ad.scalar 0., x)
-  | Bind (m, f) ->
-    let* w1, x = exec_density plan st m u in
-    let* w2, y = exec_density plan st (f x) u in
-    Adev.return (Ad.add w1 w2, y)
-  | Sample (d, name) -> begin
-    let step = advance plan st.dcursor Plan.Sample_site name in
-    st.dcursor <- st.dcursor + 1;
-    match st.dvals.(step.Plan.st_slot) with
-    | Some v -> begin
-      st.dconsumed <- st.dconsumed + 1;
-      match d.Dist.project v with
-      | Some x -> Adev.return (timed_density d x, x)
-      | None -> Adev.return (neg_inf, d.Dist.default)
-    end
-    | None -> Adev.return (neg_inf, d.Dist.default)
-  end
-  | Observe (d, v) ->
-    ignore (advance plan st.dcursor Plan.Observe_site d.Dist.name : Plan.step);
-    st.dcursor <- st.dcursor + 1;
-    Adev.return (timed_density d v, ())
-  | Plate (n, body) -> exec_density_plate plan st n body u
-  | Marginal (_, _, _) ->
-    plan_mismatch plan "a marginal construct was reached under a compiled plan"
-  | Normalize (_, _) ->
-    plan_mismatch plan "a normalize construct was reached under a compiled plan"
-
-and exec_density_plate :
-    type b.
-    Plan.t -> dens_scratch -> int -> (int -> b t) -> Trace.t ->
-    (Ad.t * b array) Adev.t =
- fun plan st n body u ->
-  let step = advance_plate plan st.dcursor n in
-  st.dcursor <- st.dcursor + 1;
-  let seq () =
-    Adev.keyed (fun key ->
-        let open Adev.Syntax in
-        Obs.incr "gen/plate_seq";
-        let* w, xs, u' = density_plate_seq n body u key in
-        (* The sequential fallback consumes only this plate's suffixed
-           addresses (plan addresses are globally distinct), so the size
-           delta is exactly its consumption. *)
-        st.dconsumed <- st.dconsumed + (Trace.size u - Trace.size u');
-        Adev.return (w, xs))
-  in
-  match step.Plan.st_kind with
-  | Plan.Plate_batched -> begin
-    match body 0 with
-    | Sample (d, addr)
-      when String.equal addr step.Plan.st_addr && d.Dist.batched <> None -> begin
-      let b = Option.get d.Dist.batched in
-      match st.dvals.(step.Plan.st_slot) with
-      | Some v -> begin
-        Obs.incr "gen/plate_batched";
-        st.dconsumed <- st.dconsumed + 1;
-        match d.Dist.project v with
-        | Some x ->
-          Adev.return
-            (Ad.sum (timed_density_n b d.Dist.name x), b.Dist.unstack n x)
-        | None -> Adev.return (neg_inf, Array.init n (fun _ -> d.Dist.default))
-      end
-      | None ->
-        (* The interpreter also takes the sequential path when the
-           stacked address is absent from the trace. *)
-        seq ()
-    end
-    | _ ->
-      plan_mismatch plan
-        (Printf.sprintf "plate body at %S no longer lowers to a batched site"
-           step.Plan.st_addr)
-  end
-  | Plan.Plate_seq -> seq ()
-  | Plan.Sample_site | Plan.Observe_site -> assert false (* advance_plate *)
-
-let log_density_compiled : type a. Plan.t -> a t -> Trace.t -> Ad.t Adev.t =
- fun plan prog u ->
-  let open Adev.Syntax in
-  let finished = ref None in
-  let* w, _ =
-    Adev.delay (fun () ->
-        let tok = arena_enter plan in
-        let st = acquire_dens plan u in
-        finished := Some (st, tok);
-        exec_density plan st prog u)
-  in
-  match !finished with
-  | None -> assert false
-  | Some (st, tok) ->
-    finished := None;
-    arena_exit tok;
-    if st.dcursor <> Array.length plan.Plan.p_steps then
-      plan_mismatch plan
-        (Printf.sprintf "the program finished after %d of %d planned sites"
-           st.dcursor
-           (Array.length plan.Plan.p_steps));
-    let complete = st.dconsumed = Trace.size u in
-    release_dens plan st;
-    if complete then Adev.return w else Adev.return neg_inf
 
 (* The plate-lowering decision, exposed for the compiler so plans can
    pre-record what [simulate] would decide per call. *)

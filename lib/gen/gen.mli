@@ -105,25 +105,15 @@ val log_density_prefix : 'a t -> Trace.t -> Ad.t Adev.t
 (** Like {!log_density} but ignores unconsumed addresses — convenient
     when scoring a sub-trace produced by a larger program. *)
 
-(** {1 Staged execution plans}
+(** {1 Execution plans}
 
     A plan is the residue of partially evaluating a program once (see
     [Compile] in [lib/compile]): the straight-line sequence of its
     sample/observe/plate sites with addresses interned to integer
-    slots, plate lowering decisions pre-made, and per-run buffers
-    preallocated and reused across calls. The compiled executors
-    replace the interpreter's per-call discovery work (trace-map
-    building and merging, plate i.i.d. probing, density remainder
-    threading) with O(1) slot operations, while preserving the
-    flagship invariant: {e compiled execution is bit-identical to the
-    interpreter} — the same [Prng.fold_in] key discipline and the same
-    floating-point accumulation order at every site.
-
-    Plans assume the program's site structure is static; [Compile]
-    refuses programs where it is not. If a model drifts from its cached
-    plan anyway, the executors raise {!Plan_mismatch} (a hard error —
-    never a silent wrong answer, and never an automatic retry, which
-    could double-update stateful REINFORCE baselines). *)
+    slots and plate lowering decisions pre-made. Plans are static
+    analysis — they feed the PV501 staging verdicts, the shape tables
+    of [Shape.of_plan], and [ppvi compile]. Every program runs on the
+    interpreter ({!simulate}, {!log_density}). *)
 
 module Plan : sig
   type kind = Sample_site | Observe_site | Plate_batched | Plate_seq
@@ -144,9 +134,8 @@ module Plan : sig
   val make : id:string -> step list -> t
   (** Intern the trace-binding steps' addresses into slots (in step
       order; any caller-set [st_slot] is overwritten) and freeze the
-      plan. @raise Invalid_argument on duplicate addresses — the
-      executors' trace-consumption counting requires global
-      uniqueness. *)
+      plan. @raise Invalid_argument on duplicate addresses — the slot
+      table names each trace address once. *)
 
   val id : t -> string
   val steps : t -> step array
@@ -155,38 +144,9 @@ module Plan : sig
       slot [i]. *)
 
   val seq_fallbacks : t -> int
-  (** Number of plate sites executed via the sequential interpreter
-      fallback rather than a fused batched kernel. *)
-
-  val set_arena : t -> Tensor.Pool.t option -> unit
-  (** Attach (or detach) a buffer pool. While attached, every compiled
-      execution of this plan installs the pool as the ambient tensor
-      allocator for its own duration, so forward-pass op outputs are
-      recycled across runs instead of freshly allocated. The pool is
-      reset only when [Ad.backward_epoch] has advanced since the
-      plan's last arena run — tapes stacked across several forward
-      runs (multi-sample estimators) are never invalidated. Contract:
-      surrogates produced by this plan's earlier arena runs must be
-      consumed (backward or discarded) before the first arena run
-      following a backward pass. *)
-
-  val arena : t -> Tensor.Pool.t option
-  (** The attached pool, if any. *)
+  (** Number of plate sites the interpreter runs sequentially rather
+      than as one batched site. *)
 end
-
-exception Plan_mismatch of string
-(** The program executed a site the plan did not predict (or finished
-    early): the plan is stale. Recompile or drop [?compiled]. *)
-
-val simulate_compiled : Plan.t -> 'a t -> ('a * Trace.t * Ad.t) Adev.t
-(** {!simulate} against a pre-compiled plan: bit-identical results
-    (same keys, same weights, same trace), with the interpreter's
-    per-call structure discovery skipped. *)
-
-val log_density_compiled : Plan.t -> 'a t -> Trace.t -> Ad.t Adev.t
-(** {!log_density} against a pre-compiled plan: one slot-table lookup
-    pass over the trace, then consumption counting instead of
-    remainder threading. Bit-identical to the interpreter. *)
 
 (** The plate-lowering decision {!simulate} would make per call,
     exposed so the compiler can pre-record it in a plan. *)

@@ -14,8 +14,6 @@ type model_entry = {
   mutable m_stamp : string;  (* path of the loaded checkpoint, "" if none *)
   mutable m_last_poll : float;
   m_sig : string list;  (* sorted latent addresses *)
-  m_plan : Gen.Plan.t option;
-  m_plan_status : string;
 }
 
 type outcome =
@@ -127,12 +125,6 @@ let register t ~name ~model ~guide ~store ?params_dir () =
     let _, tr, _ = Gen.sample_prior probe key0 in
     List.sort compare (Trace.keys tr)
   in
-  let plan, plan_status =
-    match Compile.plan_for ~id:("serve/" ^ name) (Gen.Packed model) with
-    | Compile.Compiled p -> (Some p, "compiled")
-    | Compile.Refused r ->
-      (None, Printf.sprintf "interpreted (%s %s)" r.Compile.r_code r.Compile.r_reason)
-  in
   Hashtbl.replace t.models name
     {
       m_name = name;
@@ -143,8 +135,6 @@ let register t ~name ~model ~guide ~store ?params_dir () =
       m_stamp = stamp;
       m_last_poll = Unix.gettimeofday ();
       m_sig = entry_sig;
-      m_plan = plan;
-      m_plan_status = plan_status;
     }
 
 (* The synthetic load-test model: 8 scalar latents, each driving a
@@ -228,9 +218,6 @@ let models t =
 let model_sig t name =
   Option.map (fun e -> e.m_sig) (Hashtbl.find_opt t.models name)
 
-let plan_status t name =
-  Option.map (fun e -> e.m_plan_status) (Hashtbl.find_opt t.models name)
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint hot reload *)
 
@@ -296,21 +283,8 @@ let trace_of_wire pairs =
                Ad.const (Tensor.of_array [| Array.length arr |] arr)) ))
        pairs)
 
-(* Scalar joint density of one trace, through the staged plan when the
-   model compiled (bit-identical to the interpreter by the lib/compile
-   contract), interpreter otherwise. *)
 let density_scalar entry tr =
-  let interp () =
-    Ad.to_float (Adev.run (Gen.log_density entry.m_model tr) key0 (fun w -> w))
-  in
-  match entry.m_plan with
-  | None -> interp ()
-  | Some plan -> (
-    try
-      Ad.to_float
-        (Adev.run (Gen.log_density_compiled plan entry.m_model tr) key0
-           (fun w -> w))
-    with Gen.Plan_mismatch _ -> interp ())
+  Ad.to_float (Adev.run (Gen.log_density entry.m_model tr) key0 (fun w -> w))
 
 (* One stacked density evaluation over [n >= 2] traces that all carry
    exactly the model's latent signature. Returns the per-row joint
@@ -745,8 +719,7 @@ let stats_json t =
       (fun name ->
         ( name,
           J.Obj
-            [ ("plan", J.Str (Option.value ~default:"?" (plan_status t name)));
-              ( "latents",
+            [ ( "latents",
                 J.Arr
                   (List.map
                      (fun a -> J.Str a)

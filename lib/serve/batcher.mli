@@ -58,9 +58,7 @@ val register :
     [Store.load_latest_result params_dir] and hot-reloaded whenever a
     newer [ckpt.N] appears there (polled at most every 250 ms, one
     [readdir] per poll; no file is read while the newest is the one
-    loaded). A
-    compiled plan is staged eagerly via [Compile.plan_for] under the id
-    ["serve/<name>"] and used for scalar density evaluations. *)
+    loaded). *)
 
 val register_builtins : ?params_root:string -> t -> unit
 (** Registers the built-in servable models: [coin], [cone] (naive
@@ -74,9 +72,6 @@ val chain_latents : int
 val models : t -> string list
 val model_sig : t -> string -> string list option
 (** Sorted latent addresses of a registered model. *)
-
-val plan_status : t -> string -> string option
-(** ["compiled"] or ["interpreted (PVxxx ...)"] for a registered model. *)
 
 (** {1 Submitting} *)
 

@@ -25,14 +25,14 @@ let strides shape =
 let mk shape data = { shape; data; st = strides shape }
 
 (* ------------------------------------------------------------------ *)
-(* Buffer pool (the execution arena).
+(* Buffer pool.
 
    A pool is a set of size classes keyed by exact buffer length. Each
    class holds its buffers in a growable pointer array with a cursor:
    [alloc] hands out the buffer at the cursor — in steady state this
    touches no allocator at all, only a bounds check and a zero fill —
-   and [reset] rewinds every cursor to zero. A compiled training step
-   therefore recycles the previous step's buffers instead of
+   and [reset] rewinds every cursor to zero. A checkpointed segment
+   therefore recycles the previous segment's buffers instead of
    re-allocating them, and the pool's own bookkeeping contributes
    {e zero} minor words on the hot path (the classic free-list design
    conses a cell per hand-out, which costs more minor allocation than
@@ -41,11 +41,11 @@ let mk shape data = { shape; data; st = strides shape }
    Handed-out buffers are zero-filled, so pooled execution is
    bit-identical to fresh allocation. Soundness is the caller's
    contract: [reset] must only run once no tensor built from the
-   previous generation's buffers is referenced any longer (the
-   compiled executors in [Gen] gate resets on [Ad.backward_epoch] so
-   a surrogate's tape is always consumed before its buffers are
-   recycled). The ambient pool is domain-local state; worker domains
-   spawned by [Parallel] never see the coordinating domain's pool. *)
+   previous generation's buffers is referenced any longer ([Ad]'s
+   segment pool resets only at checkpoint depth 0, once the previous
+   segment is consumed). The ambient pool is domain-local state;
+   worker domains spawned by [Parallel] never see the coordinating
+   domain's pool. *)
 
 module Pool = struct
   type slot = {
@@ -60,7 +60,6 @@ module Pool = struct
     mutable hits : int;
     mutable misses : int;
     mutable floats : int;  (* total floats owned by the pool *)
-    mutable resets : int;
   }
 
   let create () =
@@ -68,8 +67,7 @@ module Pool = struct
       slots = [];
       hits = 0;
       misses = 0;
-      floats = 0;
-      resets = 0 }
+      floats = 0 }
 
   let class_of p n =
     match Hashtbl.find p.classes n with
@@ -107,26 +105,11 @@ module Pool = struct
       buf
     end
 
-  let reset p =
-    List.iter (fun s -> s.cursor <- 0) p.slots;
-    p.resets <- p.resets + 1
-
-  (* Seed the size classes from a static layout's predicted extents,
-     so the first run already hits. *)
-  let warm p sizes =
-    List.iter
-      (fun n ->
-        if n > 0 then begin
-          p.floats <- p.floats + n;
-          push (class_of p n) (Array.make n 0.)
-        end)
-      sizes
+  let reset p = List.iter (fun s -> s.cursor <- 0) p.slots
 
   let hits p = p.hits
   let misses p = p.misses
   let floats p = p.floats
-  let bytes p = 8 * p.floats
-  let resets p = p.resets
 end
 
 (* The ambient pool. Domain-local so a pool installed on the

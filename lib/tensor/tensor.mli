@@ -267,23 +267,21 @@ val rows : t -> t list
 val take_rows : t -> int list -> t
 (** Gather the given axis-0 slices into a new tensor. *)
 
-(** {1 Buffer pool (execution arena)}
+(** {1 Buffer pool}
 
     A {!Pool.t} recycles output buffers across repeated executions of
-    the same compiled plan. While installed as the ambient allocator
-    (see {!set_pool}), every operation's output buffer is drawn from
-    the pool's free lists instead of [Array.make]; {!Pool.reset}
-    reclaims everything handed out since the previous reset. Handed-out
-    buffers are zero-filled, so pooled execution is bit-identical to
-    fresh allocation.
+    the same computation ([Ad.checkpoint]'s segment pool). While
+    installed as the ambient allocator (see {!set_pool}), every
+    operation's output buffer is drawn from the pool's free lists
+    instead of [Array.make]; {!Pool.reset} reclaims everything handed
+    out since the previous reset. Handed-out buffers are zero-filled,
+    so pooled execution is bit-identical to fresh allocation.
 
     Soundness is the caller's contract: [reset] must only run once no
     tensor built from the previous generation's buffers is referenced
-    any longer. The compiled executors in [Gen] gate resets on
-    [Ad.backward_epoch], so a surrogate's tape is always consumed
-    before its buffers are recycled. The ambient pool is domain-local:
-    worker domains spawned by [Parallel] never observe the
-    coordinating domain's pool. *)
+    any longer. The ambient pool is domain-local: worker domains
+    spawned by [Parallel] never observe the coordinating domain's
+    pool. *)
 
 module Pool : sig
   type t
@@ -298,19 +296,11 @@ module Pool : sig
   (** Return every buffer handed out since the last reset to the free
       lists. See the soundness contract above. *)
 
-  val warm : t -> int list -> unit
-  (** [warm p sizes] pre-seeds the free lists with one buffer per
-      listed extent (a static arena layout's prediction), so the first
-      execution already hits. *)
-
   val hits : t -> int
   val misses : t -> int
 
   val floats : t -> int
-  (** Total floats owned by the pool (allocated or warmed). *)
-
-  val bytes : t -> int
-  val resets : t -> int
+  (** Total floats owned by the pool. *)
 end
 
 val current_pool : unit -> Pool.t option

@@ -169,18 +169,12 @@ let rws_objective ~particles ~baselines frame image =
   let* logq = Gen.log_density (guide ~baselines frame image) trace in
   Adev.return Ad.O.(logp - Ad.stop_grad logw + logq)
 
-let batch_objectives ?(pres = RE) ?(pos = RE) ?(compiled = false) ~baselines
-    objective frame images =
+let batch_objectives ?(pres = RE) ?(pos = RE) ~baselines objective frame
+    images =
   let rows = Tensor.rows images in
   List.map
     (fun image ->
       match objective with
-      | Elbo when compiled ->
-        (* AIR's guide enumerates presence flips, so compilation refuses
-           (PV501) and this resolves to the interpreter — exercising the
-           graceful-fallback path end to end. *)
-        Objectives.elbo_staged ~id:"air" ~model:(model frame image)
-          ~guide:(guide ~pres ~pos ~baselines frame image)
       | Elbo ->
         Objectives.elbo ~model:(model frame image)
           ~guide:(guide ~pres ~pos ~baselines frame image)
@@ -191,8 +185,8 @@ let batch_objectives ?(pres = RE) ?(pos = RE) ?(compiled = false) ~baselines
       | Rws n -> rws_objective ~particles:n ~baselines frame image)
     rows
 
-let train_epoch ?(pres = RE) ?(pos = RE) ?(compiled = false) ?guard ~store
-    ~optim ~baselines ~objective ~images ~batch key =
+let train_epoch ?(pres = RE) ?(pos = RE) ?guard ~store ~optim ~baselines
+    ~objective ~images ~batch key =
   let n = (Tensor.shape images).(0) in
   let nbatches = n / batch in
   let t0 = Unix.gettimeofday () in
@@ -201,8 +195,7 @@ let train_epoch ?(pres = RE) ?(pos = RE) ?(compiled = false) ?guard ~store
       ~objectives:(fun frame step ->
         let rows = List.init batch (fun i -> (step * batch) + i) in
         let minibatch = Tensor.take_rows images rows in
-        batch_objectives ~pres ~pos ~compiled ~baselines objective frame
-          minibatch)
+        batch_objectives ~pres ~pos ~baselines objective frame minibatch)
       key
   in
   let dt = Unix.gettimeofday () -. t0 in

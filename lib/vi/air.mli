@@ -47,7 +47,6 @@ val objective_name : objective -> string
 val batch_objectives :
   ?pres:discrete_strategy ->
   ?pos:discrete_strategy ->
-  ?compiled:bool ->
   baselines:baselines ->
   objective ->
   Store.Frame.t ->
@@ -60,7 +59,6 @@ val batch_objectives :
 val train_epoch :
   ?pres:discrete_strategy ->
   ?pos:discrete_strategy ->
-  ?compiled:bool ->
   ?guard:Guard.t ->
   store:Store.t ->
   optim:Optim.t ->

@@ -53,13 +53,9 @@ let guide frame input target =
   let* _ = Gen.sample (Dist.mv_normal_diag_reparam mu std) "z" in
   Gen.return ()
 
-let elbo ?(compiled = false) frame input target =
-  if compiled then
-    Objectives.elbo_staged ~id:"cvae" ~model:(model frame input target)
-      ~guide:(guide frame input target)
-  else
-    Objectives.elbo ~model:(model frame input target)
-      ~guide:(guide frame input target)
+let elbo frame input target =
+  Objectives.elbo ~model:(model frame input target)
+    ~guide:(guide frame input target)
 
 (* Row-wise concatenation of [n x a] and [n x b] into [n x (a+b)]. *)
 let hcat a b = Ad.transpose (Ad.concat0 [ Ad.transpose a; Ad.transpose b ])

@@ -27,10 +27,8 @@ val model : Store.Frame.t -> Tensor.t -> Tensor.t -> unit Gen.t
 val guide : Store.Frame.t -> Tensor.t -> Tensor.t -> unit Gen.t
 (** Recognition network over (input, target). *)
 
-val elbo :
-  ?compiled:bool -> Store.Frame.t -> Tensor.t -> Tensor.t -> Ad.t Adev.t
-(** Per-datum ELBO; [?compiled] evaluates through the staged execution
-    plans (plan id ["cvae"], bit-identical). *)
+val elbo : Store.Frame.t -> Tensor.t -> Tensor.t -> Ad.t Adev.t
+(** Per-datum ELBO. *)
 
 val model_batch : Store.Frame.t -> Tensor.t -> Tensor.t -> unit Gen.t
 (** Stacked-minibatch model (inputs [[b x input_dim]], targets

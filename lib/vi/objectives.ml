@@ -5,24 +5,6 @@ let elbo ~model ~guide =
   let* logp = Gen.log_density model trace in
   Adev.return (Ad.sub logp logq)
 
-let elbo_staged ~id ~model ~guide =
-  (* Stage both programs once (plan-cached by id). The compiled term
-     mirrors [elbo]'s bind structure exactly — same ambient key splits,
-     same accumulation order — so it is bit-identical to the
-     interpreter. A refusal (PV501, reported at compile time) falls
-     back to the interpreter silently but counted. *)
-  match
-    ( Compile.plan_for ~id:(id ^ "/guide") (Gen.Packed guide),
-      Compile.plan_for ~id:(id ^ "/model") (Gen.Packed model) )
-  with
-  | Compile.Compiled gp, Compile.Compiled mp ->
-    let* _, trace, logq = Gen.simulate_compiled gp guide in
-    let* logp = Gen.log_density_compiled mp model trace in
-    Adev.return (Ad.sub logp logq)
-  | _ ->
-    Obs.incr "compile/fallback";
-    elbo ~model ~guide
-
 let iwelbo ?(batched = false) ~particles ~model ~guide () =
   if particles < 1 then invalid_arg "Objectives.iwelbo: particles < 1";
   Obs.hist "objective/particles" (float_of_int particles);

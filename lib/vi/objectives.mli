@@ -19,18 +19,6 @@ val elbo : model:'a Gen.t -> guide:'b Gen.t -> Ad.t Adev.t
     estimates and the objective is the correspondingly looser bound of
     Appendix A.2. *)
 
-val elbo_staged : id:string -> model:'a Gen.t -> guide:'b Gen.t -> Ad.t Adev.t
-(** {!elbo} with model and guide staged once through [Compile]
-    (plan-cached under ["<id>/model"] / ["<id>/guide"]) and evaluated
-    by the straight-line executors — {e bit-identical} to {!elbo},
-    with the interpreter's per-call structure discovery amortized
-    away. Programs that refuse compilation (PV501) silently use the
-    interpreter (counter ["compile/fallback"]). The id names the model
-    {e structure}: reuse one id across calls whose programs differ
-    only in parameters/data, and [Compile.invalidate] it if the
-    structure itself changes. This is what the case studies'
-    [?compiled] flags dispatch to. *)
-
 val iwelbo :
   ?batched:bool ->
   particles:int ->

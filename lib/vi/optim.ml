@@ -133,8 +133,8 @@ let export_state t =
   let entries =
     Hashtbl.fold
       (fun name s acc ->
-        ("m." ^ name, Tensor.copy s.m)
-        :: ("v." ^ name, Tensor.copy s.v)
+        ("m." ^ name, s.m)
+        :: ("v." ^ name, s.v)
         :: ("t." ^ name, Tensor.scalar (float_of_int s.t))
         :: acc)
       t.states []

@@ -64,7 +64,9 @@ val restore : t -> snapshot -> unit
 val export_state : t -> (string * Tensor.t) list
 (** ADAM moments and step counters as named tensors (["m.<param>"],
     ["v.<param>"], ["t.<param>"], plus ["skipped"]). Empty moments
-    (SGD, or before the first step) export only ["skipped"]. *)
+    (SGD, or before the first step) export only ["skipped"]. The
+    moment tensors are the live ones, which {!step} updates in place:
+    read them before the next step. *)
 
 val import_state : t -> (string * Tensor.t) list -> unit
 (** Replace the optimizer's state with a previously exported one.

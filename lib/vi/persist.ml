@@ -22,15 +22,17 @@ let optim_prefix = "__optim/"
 
 let is_reserved name = String.length name >= 2 && name.[0] = '_' && name.[1] = '_'
 
+(* The image's store shares the live tensors: both callers serialize
+   it at once, on the calling thread, so nothing mutates them first. *)
 let pack ~step ~store ~optim ~guard =
-  let packed = Store.copy store in
-  Store.ensure packed step_key (fun () -> Tensor.scalar (float_of_int step));
-  Store.ensure packed retries_key (fun () ->
-      Tensor.scalar (float_of_int (Guard.retry_count guard)));
-  Store.ensure packed skips_key (fun () ->
-      Tensor.scalar (float_of_int (Guard.skip_count guard)));
+  let packed = Store.create () in
+  let add name x = Store.ensure packed name (fun () -> x) in
+  List.iter (fun name -> add name (Store.tensor store name)) (Store.names store);
+  add step_key (Tensor.scalar (float_of_int step));
+  add retries_key (Tensor.scalar (float_of_int (Guard.retry_count guard)));
+  add skips_key (Tensor.scalar (float_of_int (Guard.skip_count guard)));
   List.iter
-    (fun (name, x) -> Store.ensure packed (optim_prefix ^ name) (fun () -> x))
+    (fun (name, x) -> add (optim_prefix ^ name) x)
     (Optim.export_state optim);
   packed
 

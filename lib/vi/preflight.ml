@@ -375,7 +375,8 @@ let entries =
    report refusals as info-severity PV501 diagnostics. One [ppvi
    check] run thus surfaces strategy, address, shape, and
    compileability findings together. Info severity is deliberate —
-   refusing to stage is a supported fallback, not an error. *)
+   every program runs on the interpreter, so a refusal changes nothing
+   at runtime. *)
 let compile_refusals ?fuel ?max_width name target =
   let programs =
     match target with

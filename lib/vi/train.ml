@@ -50,10 +50,9 @@ let run_preflight ~strict targets =
                     (List.length failing) (List.length targets)))
         end)
 
-(* Opt-in staging: compile the named programs before step 0, so the
-   one-time cost lands in a visible span ("compile/<id>" under
-   "train/compile") instead of silently inflating the first step —
-   [ppvi profile] then shows the staging amortization directly. *)
+(* Opt-in staging analysis: compile the named programs before step 0
+   under a visible span ("compile/<id>" under "train/compile") and
+   report PV501 refusals. Training itself runs on the interpreter. *)
 let run_warm_compile targets =
   match targets with
   | [] -> ()
@@ -191,28 +190,26 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
           (* Data-parallel sharding: one independent forward + backward
              per shard (own frame, own key, own tape), scheduled on the
              domain pool. Shard blocks run with observability
-             suppressed (the recorder is main-domain-only) and under
-             shard mode (compiled plans bypass their shared arenas and
-             scratch). The per-shard key is [fold_in key_step i] and
-             the reduction is a fixed-shape tree, so the result is
-             bit-identical for every domain count. *)
+             suppressed (the recorder is main-domain-only). The
+             per-shard key is [fold_in key_step i] and the reduction is
+             a fixed-shape tree, so the result is bit-identical for
+             every domain count. *)
           let t_fwd = if live then Obs.start () else 0. in
           let values = Array.make nshards 0. in
           let grads = Array.make nshards [] in
           Parallel.run ~blocks:nshards (fun i ->
               Obs.suppress (fun () ->
-                  Ad.with_shard_mode (fun () ->
-                      let frame = Store.Frame.make store in
-                      let build () =
-                        spec.make frame ~step:!step ~shard:i ~shards:nshards
-                          (Prng.fold_in key_step i)
-                      in
-                      let surrogate =
-                        if spec.remat then Ad.checkpoint build else build ()
-                      in
-                      Ad.backward surrogate;
-                      values.(i) <- Tensor.to_scalar (Ad.value surrogate);
-                      grads.(i) <- Store.Frame.grads frame)));
+                  let frame = Store.Frame.make store in
+                  let build () =
+                    spec.make frame ~step:!step ~shard:i ~shards:nshards
+                      (Prng.fold_in key_step i)
+                  in
+                  let surrogate =
+                    if spec.remat then Ad.checkpoint build else build ()
+                  in
+                  Ad.backward surrogate;
+                  values.(i) <- Tensor.to_scalar (Ad.value surrogate);
+                  grads.(i) <- Store.Frame.grads frame));
           let objective = tree_fold ( +. ) values 0 nshards in
           let reduced = tree_fold merge_grads grads 0 nshards in
           if live then begin
@@ -401,18 +398,17 @@ let shard_step ~store ~spec ~step key =
     let grads = Array.make nshards [] in
     Parallel.run ~blocks:nshards (fun i ->
         Obs.suppress (fun () ->
-            Ad.with_shard_mode (fun () ->
-                let frame = Store.Frame.make store in
-                let build () =
-                  spec.make frame ~step ~shard:i ~shards:nshards
-                    (Prng.fold_in key_step i)
-                in
-                let surrogate =
-                  if spec.remat then Ad.checkpoint build else build ()
-                in
-                Ad.backward surrogate;
-                values.(i) <- Tensor.to_scalar (Ad.value surrogate);
-                grads.(i) <- Store.Frame.grads frame)));
+            let frame = Store.Frame.make store in
+            let build () =
+              spec.make frame ~step ~shard:i ~shards:nshards
+                (Prng.fold_in key_step i)
+            in
+            let surrogate =
+              if spec.remat then Ad.checkpoint build else build ()
+            in
+            Ad.backward surrogate;
+            values.(i) <- Tensor.to_scalar (Ad.value surrogate);
+            grads.(i) <- Store.Frame.grads frame));
     (tree_fold ( +. ) values 0 nshards, tree_fold merge_grads grads 0 nshards)
   end
 

@@ -40,9 +40,9 @@ type report = {
     keyed by parameter name — so for any fixed shard count, results
     are bit-identical whether the pool runs 1 domain or many. Shard
     surrogates must be scaled so that their {e sum} over shards is the
-    step objective. Shard blocks run with observability suppressed and
-    under [Ad.shard_mode]; REINFORCE-baseline sites (shared mutable
-    cells) are not sharding-safe — see docs/MEMORY.md. *)
+    step objective. Shard blocks run with observability suppressed;
+    REINFORCE-baseline sites (shared mutable cells) are not
+    sharding-safe — see docs/MEMORY.md. *)
 
 type shard_spec = {
   shards : int;  (** Number of data-parallel shards per step (>= 1). *)
@@ -122,13 +122,10 @@ val fit :
     [preflight_strict] (default false) any error-severity diagnostic
     raises [Check.Preflight_error] instead of starting training.
 
-    [compiled] warm-stages the named programs through [Compile] before
-    step 0 (under the ["train/compile"] span), so the one-time staging
-    cost is visible in [ppvi profile] rather than inflating the first
-    step; a PV501 refusal is reported and the program simply runs on
-    the interpreter. Pass the same ids the objective uses (e.g.
-    [("vae/model", Packed m); ("vae/guide", Packed g)] when the
-    objective is [Objectives.elbo_staged ~id:"vae"]).
+    [compiled] stages the named programs through [Compile.plan_for]
+    before step 0 (under the ["train/compile"] span) and reports each
+    PV501 refusal. This is analysis only: every program runs on the
+    interpreter either way.
 
     [remat] (default false) places an [Ad.checkpoint] barrier around
     each of the [samples] per-sample surrogates: gradients stay

@@ -63,16 +63,11 @@ let guide1 frame image =
   let* _ = Gen.sample (Dist.mv_normal_diag_reparam mu std) "latent" in
   Gen.return ()
 
-let elbo_per_datum ?(compiled = false) frame images =
+let elbo_per_datum ?compiled:_ frame images =
   let n = float_of_int (Tensor.shape images).(0) in
-  let objective =
-    if compiled then
-      Objectives.elbo_staged ~id:"vae" ~model:(model frame images)
-        ~guide:(guide frame images)
-    else
-      Objectives.elbo ~model:(model frame images) ~guide:(guide frame images)
-  in
-  Adev.map (Ad.scale (1. /. n)) objective
+  Adev.map
+    (Ad.scale (1. /. n))
+    (Objectives.elbo ~model:(model frame images) ~guide:(guide frame images))
 
 (* The unbatched reference: one interpreter pass and one tape per datum.
    Same objective as {!elbo_per_datum}; what Table 1's vectorization
@@ -120,7 +115,7 @@ let elbo_sliced ?(segments = 1) ?(remat = false) frame images key =
    by 1/batch so the shard surrogates sum to the per-datum objective.
    Every shard redraws the (deterministic) minibatch and slices its own
    rows — cheaper than coordinating ownership, and key-exact. *)
-let step_spec ~shards ~remat ?(compiled = false) ~batch key =
+let step_spec ~shards ~remat ~batch key =
   { Train.shards;
     remat;
     make =
@@ -132,49 +127,32 @@ let step_spec ~shards ~remat ?(compiled = false) ~batch key =
         let rows = List.init (hi - lo) (fun j -> lo + j) in
         let slice = Tensor.take_rows images rows in
         let objective =
-          if compiled then
-            Objectives.elbo_staged ~id:"vae" ~model:(model frame slice)
-              ~guide:(guide frame slice)
-          else
-            Objectives.elbo ~model:(model frame slice)
-              ~guide:(guide frame slice)
+          Objectives.elbo ~model:(model frame slice) ~guide:(guide frame slice)
         in
         Adev.expectation
           (Adev.map (Ad.scale (1. /. float_of_int batch)) objective)
           shard_key) }
 
 let train ?(steps = 400) ?(batch = 64) ?(lr = 1e-3) ?(shards = 1)
-    ?(remat = false) ?guard ?persist ?store ?(compiled = false) key =
+    ?(remat = false) ?guard ?persist ?store key =
   let store = match store with Some s -> s | None -> Store.create () in
   register store key;
   let optim = Optim.adam ~lr () in
-  (* Warm-stage against a probe batch so the one-time compile lands in
-     the visible "train/compile" span; the plan is structure-only, so
-     it serves every later batch. *)
-  let warm =
-    if not compiled then []
-    else begin
-      let images, _ = Data.digit_batch (Prng.fold_in key 10000) batch in
-      let frame = Store.Frame.make store in
-      [ ("vae/model", Gen.Packed (model frame images));
-        ("vae/guide", Gen.Packed (guide frame images)) ]
-    end
-  in
   let reports =
     if shards <= 1 then
       (* Historical single-tape path; [remat] places the checkpoint
          barrier inside [expectation_mean], keeping the instruction
          stream (and with remat, the gradients bit-for-bit). *)
-      Train.fit ~store ~optim ~remat ?guard ?persist ~compiled:warm ~steps
+      Train.fit ~store ~optim ~remat ?guard ?persist ~steps
         ~objective:(fun frame step ->
           let images, _ =
             Data.digit_batch (Prng.fold_in key (10000 + step)) batch
           in
-          elbo_per_datum ~compiled frame images)
+          elbo_per_datum frame images)
         key
     else
-      Train.fit_spec ~store ~optim ?guard ?persist ~compiled:warm ~steps
-        ~spec:(step_spec ~shards ~remat ~compiled ~batch key)
+      Train.fit_spec ~store ~optim ?guard ?persist ~steps
+        ~spec:(step_spec ~shards ~remat ~batch key)
         key
   in
   (store, reports)
@@ -197,12 +175,6 @@ let time_surrogate store ~repeats make key =
 let grad_step_time store ~batch ~repeats key =
   let images, _ = Data.digit_batch key batch in
   time_surrogate store ~repeats (fun frame -> elbo_per_datum frame images) key
-
-let grad_step_time_compiled store ~batch ~repeats key =
-  let images, _ = Data.digit_batch key batch in
-  time_surrogate store ~repeats
-    (fun frame -> elbo_per_datum ~compiled:true frame images)
-    key
 
 let grad_step_time_looped store ~batch ~repeats key =
   let images, _ = Data.digit_batch key batch in

@@ -38,11 +38,9 @@ val guide1 : Store.Frame.t -> Tensor.t -> unit Gen.t
 
 val elbo_per_datum :
   ?compiled:bool -> Store.Frame.t -> Tensor.t -> Ad.t Adev.t
-(** The batch ELBO divided by the batch size. [?compiled] (default
-    false) evaluates model and guide through their staged execution
-    plans ([Objectives.elbo_staged], plan id ["vae"]) — bit-identical
-    values and gradients, minus the interpreter's per-call discovery
-    overhead. *)
+(** The batch ELBO divided by the batch size. [?compiled] is accepted
+    and ignored: every program runs on the interpreter, and the
+    benchmark in [ledger/] still passes it. *)
 
 val elbo_per_datum_looped : Store.Frame.t -> Tensor.t -> Ad.t Adev.t
 (** The same objective computed the unbatched way: one interpreter pass
@@ -60,8 +58,7 @@ val elbo_sliced :
     gradients bit-identical to the same sliced build without remat. *)
 
 val step_spec :
-  shards:int -> remat:bool -> ?compiled:bool -> batch:int -> Prng.key ->
-  Train.shard_spec
+  shards:int -> remat:bool -> batch:int -> Prng.key -> Train.shard_spec
 (** The data-parallel VAE step spec: shard [i] scores rows
     [i*batch/shards, (i+1)*batch/shards) of the step's (deterministic)
     minibatch, scaled by 1/batch. Feed to {!Train.fit_spec} or
@@ -70,28 +67,22 @@ val step_spec :
 val train :
   ?steps:int -> ?batch:int -> ?lr:float -> ?shards:int -> ?remat:bool ->
   ?guard:Guard.t -> ?persist:Persist.cfg -> ?store:Store.t ->
-  ?compiled:bool -> Prng.key -> Store.t * Train.report list
+  Prng.key -> Store.t * Train.report list
 (** [?guard] configures resilience (see {!Guard}); [?store] continues
-    training from an existing (e.g. checkpoint-loaded) store;
-    [?compiled] trains through the staged execution plans (warm-staged
-    before step 0, bit-identical trajectory). [?shards] (default 1)
-    trains data-parallel via {!step_spec} on the [Parallel] domain
-    pool — bit-reproducible across domain counts for a fixed shard
-    count, but a different PRNG stream than [shards = 1], which keeps
-    the historical trajectory exactly. [?remat] (default false)
-    checkpoints each sample's (or shard's) tape segment; gradients stay
-    bit-identical to the same path without remat. *)
+    training from an existing (e.g. checkpoint-loaded) store.
+    [?shards] (default 1) trains data-parallel via {!step_spec} on the
+    [Parallel] domain pool — bit-reproducible across domain counts for
+    a fixed shard count, but a different PRNG stream than
+    [shards = 1], which keeps the historical trajectory exactly.
+    [?remat] (default false) checkpoints each sample's (or shard's)
+    tape segment; gradients stay bit-identical to the same path
+    without remat. *)
 
 val grad_step_time :
   Store.t -> batch:int -> repeats:int -> Prng.key -> float
 (** Mean seconds per gradient estimate (forward + backward) of the
     automated estimator at the given batch size — the Table 1 "Ours"
     column. *)
-
-val grad_step_time_compiled :
-  Store.t -> batch:int -> repeats:int -> Prng.key -> float
-(** {!grad_step_time} through the staged execution plans
-    ([?compiled:true] path); same estimator bit-for-bit. *)
 
 val grad_step_time_looped :
   Store.t -> batch:int -> repeats:int -> Prng.key -> float

@@ -29,6 +29,29 @@ let () =
      with _ -> ());
     Unix._exit 0
 
+(* A child trains for well under a second; one that is still running
+   after this long is stuck, and is killed so the test fails instead
+   of hanging the suite. *)
+let child_time_limit_s = 120.
+
+let wait_child pid =
+  let deadline = Unix.gettimeofday () +. child_time_limit_s in
+  let rec poll () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ ->
+      if Unix.gettimeofday () > deadline then begin
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid);
+        Alcotest.failf "chaos child still running after %.0f s; killed"
+          child_time_limit_s
+      end;
+      Unix.sleepf 0.005;
+      poll ()
+    | _, status -> status
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll ()
+  in
+  poll ()
+
 let spawn_child ~dir ~plan_seed ~spec =
   flush stdout;
   flush stderr;
@@ -43,8 +66,7 @@ let spawn_child ~dir ~plan_seed ~spec =
       [| Sys.executable_name |]
       env Unix.stdin Unix.stdout Unix.stderr
   in
-  let _, status = Unix.waitpid [] pid in
-  status
+  wait_child pid
 
 let tmp_dir tag =
   let dir =

@@ -367,6 +367,14 @@ let test_admission_overload () =
     end
   in
   wait_queued 2000;
+  (* Submitting below the bound would queue behind the paused executor
+     and never return: release the submitters and fail instead. *)
+  if Batcher.queue_depth b < 2 then begin
+    Batcher.resume b;
+    List.iter Thread.join threads;
+    Batcher.drain b;
+    Alcotest.fail "the two submitters were not queued within 4 s"
+  end;
   (* Queue is at the bound: the next request is shed immediately. *)
   (match Batcher.submit b (Proto.Sample { model = "cone"; seed = 99 }) with
   | Batcher.O_error ("overloaded", _) -> ()
@@ -714,6 +722,31 @@ let test_fault_hook_in_admission () =
           (outcome_str other));
       Batcher.drain b)
 
+(* Density-only traffic must leave the heap flat: a daemon that only
+   scores keeps nothing per request. *)
+let test_score_heap_flat () =
+  let b = fresh_batcher Batcher.default_cfg in
+  Batcher.start b;
+  let score i =
+    (* Even indices are score requests; each solo submit is a batch of
+       one, so every row takes the scalar density path. *)
+    match Batcher.submit b (Serve.nth_request ~model:"chain" ~seed:5 (2 * i)) with
+    | Batcher.O_value _ -> ()
+    | other -> Alcotest.failf "request %d: %s" i (outcome_str other)
+  in
+  let live_bytes () =
+    Gc.full_major ();
+    8 * (Gc.stat ()).Gc.live_words
+  in
+  for i = 0 to 49 do score i done;
+  let before = live_bytes () in
+  for i = 50 to 249 do score i done;
+  let after = live_bytes () in
+  Batcher.drain b;
+  if after - before >= 2 * 1024 * 1024 then
+    Alcotest.failf "live heap grew by %d bytes over 200 score requests"
+      (after - before)
+
 let suites =
   [ ( "serve-proto",
       [ QCheck_alcotest.to_alcotest proto_roundtrip;
@@ -741,7 +774,9 @@ let suites =
         Alcotest.test_case "reload poll reads only a new checkpoint" `Quick
           test_reload_poll_reads_nothing_unchanged;
         Alcotest.test_case "fault plan covers admission" `Quick
-          test_fault_hook_in_admission
+          test_fault_hook_in_admission;
+        Alcotest.test_case "score-only traffic keeps the heap flat" `Quick
+          test_score_heap_flat
       ] );
     ( "serve-daemon",
       [ Alcotest.test_case "handshake, health, score, stats" `Quick

@@ -1,38 +1,23 @@
-(* Tests for the PV6xx static shape pass and the arena-preallocated
-   compiled execution: the abstract shape domain (broadcast analysis,
-   symbolic dims), the new preflight demo programs, the
-   static-vs-runtime shape consistency property over the compilable
-   registry, the liveness/arena layout invariants, the buffer pool,
-   and the flagship invariant extended to arenas — arena-backed
-   compiled execution is bit-identical to the interpreter and to the
-   arena-free compiled path. *)
-
-open Gen.Syntax
+(* Tests for the PV6xx static shape pass and the buffer pool: the
+   abstract shape domain (broadcast analysis, symbolic dims), the
+   preflight demo programs, the static-vs-runtime shape consistency
+   property over the compilable registry, and the arena that remains
+   — [Ad.checkpoint]'s segment pool — which must leave every result
+   bit-identical to heap allocation. *)
 
 let bits = Int64.bits_of_float
-let float_bits_equal a b = Int64.equal (bits a) (bits b)
-
-let tensor_bits_equal t1 t2 =
-  Tensor.shape t1 = Tensor.shape t2
-  &&
-  let a = Tensor.to_array t1 and b = Tensor.to_array t2 in
-  let ok = ref true in
-  Array.iteri (fun i x -> if not (float_bits_equal x b.(i)) then ok := false) a;
-  !ok
-
-let value_bits_equal v1 v2 =
-  match (v1, v2) with
-  | Value.Real a, Value.Real b -> tensor_bits_equal (Ad.value a) (Ad.value b)
-  | _ -> v1 = v2
-
-let trace_bits_equal t1 t2 =
-  let b1 = Trace.bindings t1 and b2 = Trace.bindings t2 in
-  List.length b1 = List.length b2
-  && List.for_all2
-       (fun (a1, v1) (a2, v2) -> String.equal a1 a2 && value_bits_equal v1 v2)
-       b1 b2
-
+let tensor_bits t = Array.map bits (Tensor.to_array t)
+let grads_bits gs = List.map (fun (n, g) -> (n, tensor_bits g)) gs
 let scalar_of w = Tensor.to_scalar (Ad.value w)
+
+let trace_bits tr =
+  List.map
+    (fun (addr, v) ->
+      match v with
+      | Value.Real a -> (addr, tensor_bits (Ad.value a))
+      | Value.Bool b -> (addr, [| (if b then 1L else 0L) |])
+      | Value.Int i -> (addr, [| Int64.of_int i |]))
+    (Trace.bindings tr)
 
 let run_for m key =
   let out = ref None in
@@ -197,13 +182,12 @@ let registry_programs entry =
 
 (* For every compilable registry program: each statically inferred
    plan-site shape, once its symbolic dims are resolved, must equal
-   the shape the runtime actually binds in a compiled simulation's
-   trace. *)
+   the shape the runtime actually binds in the interpreter's trace. *)
 let static_shapes_match_runtime ~id (Gen.Packed prog) seed =
   match Compile.compile ~id (Gen.Packed prog) with
   | Compile.Refused _ -> true
   | Compile.Compiled plan ->
-    let _, trace, _ = run_for (Gen.simulate_compiled plan prog) (Prng.key seed) in
+    let _, trace, _ = run_for (Gen.simulate prog) (Prng.key seed) in
     List.for_all
       (fun (addr, shape) ->
         match Shape.to_concrete shape with
@@ -230,104 +214,48 @@ let prop_static_shapes_match_runtime =
         Preflight.entries)
 
 (* ------------------------------------------------------------------ *)
-(* Liveness / arena layout                                             *)
+(* Pooled interpreter runs: bit identity                               *)
 
-let layout_invariants (l : Layout.t) =
-  let slab_overlap a b =
-    not
-      (a.Layout.iv_offset + a.Layout.iv_extent <= b.Layout.iv_offset
-      || b.Layout.iv_offset + b.Layout.iv_extent <= a.Layout.iv_offset)
-  in
-  let live_overlap a b =
-    not (a.Layout.iv_stop < b.Layout.iv_start || b.Layout.iv_stop < a.Layout.iv_start)
-  in
-  let rec pairs = function
-    | [] -> true
-    | a :: rest ->
-      List.for_all (fun b -> not (live_overlap a b && slab_overlap a b)) rest
-      && pairs rest
-  in
-  l.Layout.arena_floats <= l.Layout.naive_floats
-  && List.for_all
-       (fun iv ->
-         iv.Layout.iv_offset >= 0
-         && iv.Layout.iv_offset + iv.Layout.iv_extent <= l.Layout.arena_floats)
-       l.Layout.intervals
-  && pairs l.Layout.intervals
+(* Objectives built behind [Ad.checkpoint] run the interpreter with
+   the segment pool as the ambient allocator. For every compilable
+   registry program, simulate + log-density drawing their buffers from
+   a pool must be bit-identical to heap-allocated runs; the pool is
+   reset before each round, so later rounds recycle earlier rounds'
+   buffers. *)
+let check_arena_bit_identity ~id (Gen.Packed prog) seed =
+  match Compile.compile ~id (Gen.Packed prog) with
+  | Compile.Refused _ -> true
+  | Compile.Compiled _ ->
+    let pool = Tensor.Pool.create () in
+    let run () =
+      let _, tr, w = run_for (Gen.simulate prog) (Prng.key seed) in
+      let d = run_for (Gen.log_density prog tr) (Prng.key seed) in
+      (trace_bits tr, bits (scalar_of w), bits (scalar_of d))
+    in
+    let heap = run () in
+    List.for_all
+      (fun _ ->
+        Tensor.Pool.reset pool;
+        Tensor.set_pool (Some pool);
+        let pooled = Fun.protect ~finally:(fun () -> Tensor.set_pool None) run in
+        pooled = heap)
+      [ 0; 1; 2 ]
+    && Tensor.Pool.hits pool > 0
 
-let prop_layout_invariants =
-  QCheck.Test.make ~name:"arena layout invariants (registry plans)"
-    ~count:1
-    QCheck.(unit)
-    (fun () ->
+let prop_registry_arena_bit_identity =
+  QCheck.Test.make
+    ~name:"registry arena-compiled == interpreter (bitwise)" ~count:15
+    QCheck.(small_nat)
+    (fun seed ->
       List.for_all
         (fun entry ->
           List.for_all
             (fun (id, p) ->
-              match Compile.compile ~id:("layout/" ^ id) p with
-              | Compile.Refused _ -> true
-              | Compile.Compiled plan ->
-                layout_invariants (Layout.of_plan plan))
+              check_arena_bit_identity
+                ~id:(Printf.sprintf "arena/%s#%d" id seed)
+                p seed)
             (registry_programs entry))
         Preflight.entries)
-
-(* Two observations at different steps have disjoint live ranges, so
-   first-fit reuses one slab region for both. *)
-let test_layout_reuses_disjoint_ranges () =
-  let prog =
-    let* _ =
-      Gen.observe
-        (Dist.mv_normal_diag_reparam
-           (Ad.const (Tensor.zeros [| 4 |]))
-           (Ad.const (Tensor.ones [| 4 |])))
-        (Ad.const (Tensor.zeros [| 4 |]))
-    in
-    Gen.observe
-      (Dist.mv_normal_diag_reparam
-         (Ad.const (Tensor.zeros [| 4 |]))
-         (Ad.const (Tensor.ones [| 4 |])))
-      (Ad.const (Tensor.ones [| 4 |]))
-  in
-  match Compile.compile ~id:"layout/unit-reuse" (Gen.Packed prog) with
-  | Compile.Refused r -> Alcotest.failf "unexpected refusal: %s" r.r_reason
-  | Compile.Compiled plan ->
-    let l = Layout.of_plan plan in
-    Alcotest.(check int) "two intervals" 2 (List.length l.Layout.intervals);
-    Alcotest.(check int) "naive sums both extents" 8 l.Layout.naive_floats;
-    Alcotest.(check int) "arena shares one region" 4 l.Layout.arena_floats;
-    List.iter
-      (fun iv ->
-        Alcotest.(check int) "both at offset 0" 0 iv.Layout.iv_offset)
-      l.Layout.intervals;
-    Alcotest.(check (list int)) "one warmed extent" [ 4 ]
-      (Layout.warm_extents l)
-
-(* A trace slot is live from step 0, so it can never share a region
-   with an earlier observation's scratch. *)
-let test_layout_keeps_live_ranges_apart () =
-  let prog =
-    let* _ =
-      Gen.observe
-        (Dist.mv_normal_diag_reparam
-           (Ad.const (Tensor.zeros [| 4 |]))
-           (Ad.const (Tensor.ones [| 4 |])))
-        (Ad.const (Tensor.zeros [| 4 |]))
-    in
-    let* _ =
-      Gen.sample
-        (Dist.mv_normal_diag_reparam
-           (Ad.const (Tensor.zeros [| 4 |]))
-           (Ad.const (Tensor.ones [| 4 |])))
-        "z"
-    in
-    Gen.return ()
-  in
-  match Compile.compile ~id:"layout/unit-apart" (Gen.Packed prog) with
-  | Compile.Refused r -> Alcotest.failf "unexpected refusal: %s" r.r_reason
-  | Compile.Compiled plan ->
-    let l = Layout.of_plan plan in
-    Alcotest.(check int) "no reuse possible" 8 l.Layout.arena_floats;
-    Alcotest.(check bool) "invariants hold" true (layout_invariants l)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer pool                                                         *)
@@ -348,19 +276,37 @@ let test_pool_recycles_buffers () =
   Alcotest.(check bool) "no double hand-out" true (not (b2 == b3));
   Alcotest.(check int) "pool owns both buffers" 32 (Tensor.Pool.floats p)
 
+(* A pool warmed by one generation pre-hits the next: after a reset,
+   re-running the same computation takes every buffer from the free
+   lists and grows the pool by nothing — the steady state the segment
+   pool relies on. *)
 let test_pool_warm_prehits () =
   let p = Tensor.Pool.create () in
-  Tensor.Pool.warm p [ 8; 24 ];
-  ignore (Tensor.Pool.alloc p 8);
-  ignore (Tensor.Pool.alloc p 24);
-  Alcotest.(check int) "warmed sizes hit" 2 (Tensor.Pool.hits p);
-  Alcotest.(check int) "no misses" 0 (Tensor.Pool.misses p);
-  ignore (Tensor.Pool.alloc p 9);
-  Alcotest.(check int) "unwarmed size misses" 1 (Tensor.Pool.misses p);
-  Alcotest.(check int) "accounting includes warm + miss" (8 + 24 + 9)
-    (Tensor.Pool.floats p);
-  Alcotest.(check int) "bytes = 8 * floats" (8 * (8 + 24 + 9))
-    (Tensor.Pool.bytes p)
+  let store = Store.create () in
+  Vae.register store (Prng.key 3);
+  let images, _ = Data.digit_batch (Prng.key 4) 8 in
+  let generation () =
+    Tensor.Pool.reset p;
+    Tensor.set_pool (Some p);
+    Fun.protect
+      ~finally:(fun () -> Tensor.set_pool None)
+      (fun () ->
+        let frame = Store.Frame.make store in
+        scalar_of
+          (Adev.expectation (Vae.elbo_per_datum frame images) (Prng.key 5)))
+  in
+  let cold = generation () in
+  let misses = Tensor.Pool.misses p
+  and hits = Tensor.Pool.hits p
+  and floats = Tensor.Pool.floats p in
+  Alcotest.(check bool) "cold generation allocates" true (misses > 0);
+  let warm = generation () in
+  Alcotest.(check int) "warm generation misses nothing" misses
+    (Tensor.Pool.misses p);
+  Alcotest.(check int) "every cold allocation pre-hits" (hits + misses)
+    (Tensor.Pool.hits p);
+  Alcotest.(check int) "pool does not grow" floats (Tensor.Pool.floats p);
+  Alcotest.(check int64) "same result" (bits cold) (bits warm)
 
 let test_pool_routes_op_outputs () =
   let p = Tensor.Pool.create () in
@@ -376,137 +322,113 @@ let test_pool_routes_op_outputs () =
         (Tensor.sum b));
   Alcotest.(check bool) "pool uninstalled" true (Tensor.current_pool () = None)
 
-(* ------------------------------------------------------------------ *)
-(* Arena-backed compiled execution: bit identity                       *)
+(* [Ad.checkpoint] installs the segment pool for its thunk and again
+   for its replay during [backward]; both must put the caller's
+   ambient pool back however they exit, since nothing above them
+   restores it. *)
+let test_checkpoint_restores_pool () =
+  let outer = Tensor.Pool.create () in
+  let restored ambient =
+    match (Tensor.current_pool (), ambient) with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | _ -> false
+  in
+  List.iter
+    (fun ambient ->
+      Tensor.set_pool ambient;
+      Fun.protect
+        ~finally:(fun () -> Tensor.set_pool None)
+        (fun () ->
+          (match Ad.checkpoint (fun () -> failwith "thunk") with
+          | _ -> Alcotest.fail "expected the thunk's exception"
+          | exception Failure _ -> ());
+          Alcotest.(check bool) "restored after a raising thunk" true
+            (restored ambient);
+          let x = Ad.const (Tensor.scalar 1.5) in
+          let calls = ref 0 in
+          let s =
+            Ad.checkpoint (fun () ->
+                incr calls;
+                if !calls > 1 then failwith "replay";
+                Ad.mul x x)
+          in
+          Alcotest.(check bool) "restored after the forward" true
+            (restored ambient);
+          (match Ad.backward s with
+          | () -> Alcotest.fail "expected the replay's exception"
+          | exception Failure _ -> ());
+          Alcotest.(check bool) "restored after a raising replay" true
+            (restored ambient)))
+    [ None; Some outer ]
 
-(* Attach the static layout's pool to a freshly compiled plan, then
-   interleave compiled runs with backward passes (advancing the epoch
-   so the pool actually resets and recycles buffers) and require every
-   run to stay bit-identical to the interpreter. *)
-let check_arena_bit_identity ~id (Gen.Packed prog) seed =
-  match Compile.compile ~id (Gen.Packed prog) with
-  | Compile.Refused _ -> true
-  | Compile.Compiled plan ->
-    Gen.Plan.set_arena plan (Some (Layout.pool_of (Layout.of_plan plan)));
-    let ok = ref true in
-    for round = 0 to 2 do
-      let key = Prng.key (seed + (104729 * round)) in
-      let _, ti, wi = run_for (Gen.simulate prog) key in
-      let _, tc, wc = run_for (Gen.simulate_compiled plan prog) key in
-      if
-        not
-          (float_bits_equal (scalar_of wi) (scalar_of wc)
-          && trace_bits_equal ti tc)
-      then ok := false;
-      let di = run_for (Gen.log_density prog ti) key in
-      let dc = run_for (Gen.log_density_compiled plan prog ti) key in
-      if not (float_bits_equal (scalar_of di) (scalar_of dc)) then ok := false;
-      (* Consume the compiled runs' tapes so the next round's
-         arena_enter recycles their buffers. *)
-      Ad.backward wc;
-      Ad.backward dc
-    done;
-    !ok
-
-let prop_registry_arena_bit_identity =
-  QCheck.Test.make
-    ~name:"registry arena-compiled == interpreter (bitwise)" ~count:15
-    QCheck.(small_nat)
-    (fun seed ->
-      List.for_all
-        (fun entry ->
-          List.for_all
-            (fun (id, p) ->
-              check_arena_bit_identity
-                ~id:(Printf.sprintf "arena/%s#%d" id seed)
-                p seed)
-            (registry_programs entry))
-        Preflight.entries)
-
-(* The full VAE gradient step through the plan cache: arena execution
-   on vs off must produce bit-identical surrogates and gradients, and
-   the arena must actually be exercised (pool hits on the warm run). *)
+(* The VAE gradient step behind an [Ad.checkpoint] barrier, with the
+   segment pool on vs off, must give bit-identical surrogates and
+   gradients; the second pooled step recycles the first's buffers. *)
 let test_vae_grad_arena_bit_identity () =
-  Compile.reset_cache ();
   let store = Store.create () in
   Vae.register store (Prng.key 3);
   let images, _ = Data.digit_batch (Prng.key 4) 16 in
-  let grad_of () =
+  let segment = ref None in
+  let grad_of pool =
     let frame = Store.Frame.make store in
     let s =
-      Adev.expectation (Vae.elbo_per_datum ~compiled:true frame images)
-        (Prng.key 5)
+      Ad.checkpoint ~pool (fun () ->
+          if pool then segment := Tensor.current_pool ();
+          Adev.expectation (Vae.elbo_per_datum frame images) (Prng.key 5))
     in
     Ad.backward s;
-    (scalar_of s, Store.Frame.grads frame)
+    (bits (scalar_of s), grads_bits (Store.Frame.grads frame))
   in
-  Compile.set_arena_execution false;
-  let v0, g0 = grad_of () in
-  Compile.set_arena_execution true;
-  (* Two arena steps: the second recycles the first's buffers. *)
-  let _ = grad_of () in
-  let v1, g1 = grad_of () in
-  Alcotest.(check bool) "surrogate bits equal" true (float_bits_equal v0 v1);
-  List.iter2
-    (fun (n0, t0) (n1, t1) ->
-      Alcotest.(check string) "param order" n0 n1;
-      Alcotest.(check bool) (n0 ^ " grad bits equal") true
-        (tensor_bits_equal t0 t1))
-    g0 g1;
-  let pool_hits id =
-    match Compile.plan_for ~id (Gen.Packed (Gen.return ())) with
-    | Compile.Compiled plan -> (
-      match Gen.Plan.arena plan with
-      | Some p -> Tensor.Pool.hits p
-      | None -> 0)
-    | Compile.Refused _ -> 0
+  let heap = grad_of false in
+  let first = grad_of true in
+  let second = grad_of true in
+  let check msg got =
+    Alcotest.(check int64) (msg ^ ": surrogate bits") (fst heap) (fst got);
+    Alcotest.(check (list (pair string (array int64))))
+      (msg ^ ": gradient bits") (snd heap) (snd got)
   in
-  Alcotest.(check bool) "model plan recycled buffers" true
-    (pool_hits "vae/model" > 0);
-  Alcotest.(check bool) "guide plan recycled buffers" true
-    (pool_hits "vae/guide" > 0);
-  Compile.set_arena_execution true;
-  Compile.reset_cache ()
+  check "first pooled step" first;
+  check "second pooled step" second;
+  match !segment with
+  | Some p ->
+    Alcotest.(check bool) "segment pool recycled buffers" true
+      (Tensor.Pool.hits p > 0)
+  | None -> Alcotest.fail "the thunk ran without the segment pool"
 
-(* Multi-sample estimators stack several forward tapes before one
-   backward; the epoch gate must keep the pool from resetting between
-   them (a reset would corrupt the still-referenced earlier tapes). *)
+(* Multi-sample estimators stack several checkpointed samples before
+   one backward. Each sample's segment resets the shared segment pool
+   when it is built and again when it is replayed, so a reset reaching
+   a tensor still in use would corrupt the result: the stacked VAE
+   estimate under [remat] must equal the full tape bit for bit, on a
+   second run too, which recycles the first run's buffers. *)
 let test_arena_multi_sample_safety () =
-  Compile.reset_cache ();
   let store = Store.create () in
   Vae.register store (Prng.key 3);
   let images, _ = Data.digit_batch (Prng.key 4) 8 in
-  let grad_of () =
+  let grad_of remat =
     let frame = Store.Frame.make store in
     let s =
-      Adev.expectation_mean ~samples:3
-        (Vae.elbo_per_datum ~compiled:true frame images)
+      Adev.expectation_mean ~remat ~samples:3
+        (Vae.elbo_per_datum frame images)
         (Prng.key 6)
     in
     Ad.backward s;
-    (scalar_of s, Store.Frame.grads frame)
+    (bits (scalar_of s), grads_bits (Store.Frame.grads frame))
   in
-  Compile.set_arena_execution false;
-  let v0, g0 = grad_of () in
-  Compile.set_arena_execution true;
-  let _ = grad_of () in
-  let v1, g1 = grad_of () in
-  Alcotest.(check bool) "stacked surrogate bits equal" true
-    (float_bits_equal v0 v1);
-  List.iter2
-    (fun (n0, t0) (n1, t1) ->
-      Alcotest.(check string) "param order" n0 n1;
-      Alcotest.(check bool) (n0 ^ " grad bits equal") true
-        (tensor_bits_equal t0 t1))
-    g0 g1;
-  Compile.set_arena_execution true;
-  Compile.reset_cache ()
+  let full = grad_of false in
+  List.iter
+    (fun msg ->
+      let got = grad_of true in
+      Alcotest.(check int64) (msg ^ ": stacked surrogate bits") (fst full)
+        (fst got);
+      Alcotest.(check (list (pair string (array int64))))
+        (msg ^ ": gradient bits") (snd full) (snd got))
+    [ "first remat run"; "second remat run" ]
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_static_shapes_match_runtime;
-      prop_layout_invariants;
-      prop_registry_arena_bit_identity ]
+    [ prop_static_shapes_match_runtime; prop_registry_arena_bit_identity ]
 
 let suites =
   [ ( "shape",
@@ -527,15 +449,13 @@ let suites =
           test_pv501_in_check_report ]
       @ qcheck_cases );
     ( "arena",
-      [ Alcotest.test_case "layout reuses disjoint ranges" `Quick
-          test_layout_reuses_disjoint_ranges;
-        Alcotest.test_case "layout keeps live ranges apart" `Quick
-          test_layout_keeps_live_ranges_apart;
-        Alcotest.test_case "pool recycles buffers" `Quick
+      [ Alcotest.test_case "pool recycles buffers" `Quick
           test_pool_recycles_buffers;
         Alcotest.test_case "pool warm pre-hits" `Quick test_pool_warm_prehits;
         Alcotest.test_case "pool routes op outputs" `Quick
           test_pool_routes_op_outputs;
+        Alcotest.test_case "checkpoint restores the ambient pool" `Quick
+          test_checkpoint_restores_pool;
         Alcotest.test_case "vae grad arena bit-identical" `Slow
           test_vae_grad_arena_bit_identity;
         Alcotest.test_case "multi-sample arena safety" `Slow

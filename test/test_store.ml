@@ -384,6 +384,38 @@ let test_serialize_matches_reference () =
   Alcotest.(check string) "save writes the image" (Store.serialize store)
     (read_file path)
 
+(* A fixed training state: two parameters, ADAM moments after two
+   steps (the second skips a non-finite gradient), guard counters. *)
+let persist_state () =
+  let store = Store.create () in
+  Store.ensure store "w" (fun () -> Tensor.of_list1 [ 1.5; -2.25; 0.5 ]);
+  Store.ensure store "b" (fun () -> Tensor.scalar (-0.0));
+  let optim = Optim.adam ~lr:0.1 () in
+  Optim.step optim Optim.Ascend store
+    [ ("w", Tensor.of_list1 [ 0.25; -1.; 3. ]); ("b", Tensor.scalar 0.5) ];
+  Optim.step optim Optim.Ascend store
+    [ ("w", Tensor.of_list1 [ -0.5; 2.; 1e-3 ]); ("b", Tensor.scalar Float.nan) ];
+  let guard = Guard.create () in
+  Guard.resume guard ~retries:2 ~skips:3;
+  (store, optim, guard)
+
+let test_persist_image_pinned () =
+  let store, optim, guard = persist_state () in
+  let dir = tmp_dir () in
+  Persist.save (Persist.cfg dir) ~step:7 ~store ~optim ~guard;
+  (* Pinned: the checkpoint image of [persist_state] at step 7, as
+     every writer of training checkpoints has produced it. *)
+  Alcotest.(check string) "committed checksum"
+    "8423d7f4d8343ac80acc91b1fefe1865"
+    (Digest.to_hex (Digest.string (read_file (Filename.concat dir "ckpt.1"))))
+
+let test_persist_save_leaves_store () =
+  let store, optim, guard = persist_state () in
+  let before = store_bits store in
+  Persist.save (Persist.cfg (tmp_dir ())) ~step:7 ~store ~optim ~guard;
+  Alcotest.(check (list string)) "names" [ "w"; "b" ] (Store.names store);
+  check_bits "values" before (store_bits store)
+
 (* qcheck: random stores round-trip bit-exactly, including NaN. *)
 let float_gen =
   QCheck.Gen.(
@@ -474,6 +506,10 @@ let suites =
         Alcotest.test_case "stale latest pointer ignored" `Quick
           test_stale_latest_pointer_ignored;
         Alcotest.test_case "serializer matches reference" `Quick
-          test_serialize_matches_reference ]
+          test_serialize_matches_reference;
+        Alcotest.test_case "persist image pinned" `Quick
+          test_persist_image_pinned;
+        Alcotest.test_case "persist save leaves the store" `Quick
+          test_persist_save_leaves_store ]
       @ List.map QCheck_alcotest.to_alcotest
           [ prop_roundtrip; prop_serialize_reference; prop_prefix_corrupt ] ) ]
