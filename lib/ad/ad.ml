@@ -1,5 +1,8 @@
 type t = {
-  id : int;
+  (* Positive for taped nodes (graph-construction order). Nodes built
+     inside [primal] start at 0 and take a negative id on the first
+     [id] call, so no sweep or barrier ever enters them. *)
+  mutable id : int;
   v : Tensor.t;
   mutable g : Tensor.t option;
   (* Whether [g] is a buffer this node owns exclusively (safe to mutate
@@ -47,11 +50,17 @@ let retire n = if n > 0 then ignore (Atomic.fetch_and_add live_nodes (-n))
 (* Per-domain created/retired tallies, used to count how many records a
    checkpoint construction or replay produced on THIS domain (the
    atomic counter interleaves across domains, so a global delta would
-   over-count under sharding). *)
-type domain_tally = { mutable created : int; mutable retired : int }
+   over-count under sharding). [primal] is the domain's tape-free
+   scope (see [primal] below); it lives here so that every op pays one
+   domain-local read for both. *)
+type domain_tally = {
+  mutable created : int;
+  mutable retired : int;
+  mutable primal : bool;
+}
 
 let tally : domain_tally Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { created = 0; retired = 0 })
+  Domain.DLS.new_key (fun () -> { created = 0; retired = 0; primal = false })
 
 let live_node_count () = Atomic.get live_nodes
 let peak_live_nodes () = Atomic.get peak_live
@@ -81,22 +90,64 @@ let segment_pool : Tensor.Pool.t Domain.DLS.key =
 let replay_silencer : ((unit -> unit) -> unit) ref = ref (fun f -> f ())
 let set_replay_silencer s = replay_silencer := s
 
-let node v parents =
+let taped tl v parents =
   let id = Atomic.fetch_and_add counter 1 + 1 in
   track_new ();
-  let tl = Domain.DLS.get tally in
   tl.created <- tl.created + 1;
   { id; v; g = None; g_owned = false; parents = Array.of_list parents;
     remat = None }
 
-let const v = node v []
+(* Op results built inside [primal] share this one-entry parent array:
+   it keeps them from being leaves, and nothing ever reads it, because
+   their ids are never positive. *)
+let detached =
+  [| ( { id = 0; v = Tensor.scalar 0.; g = None; g_owned = false;
+         parents = [||]; remat = None },
+       Fun.id ) |]
+
+let untaped v =
+  { id = 0; v; g = None; g_owned = false; parents = detached; remat = None }
+
+let node v parents =
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v else taped tl v parents
+
+let const v =
+  let tl = Domain.DLS.get tally in
+  if tl.primal then
+    { id = 0; v; g = None; g_owned = false; parents = [||]; remat = None }
+  else taped tl v []
+
 let scalar x = const (Tensor.scalar x)
 let value t = t.v
 let to_float t = Tensor.to_scalar t.v
 let shape t = Tensor.shape t.v
 let is_leaf t = Array.length t.parents = 0
-let id t = t.id
+
+(* Ids of untaped nodes come from their own counter, downwards, so
+   [node_count] stays a count of taped nodes and provenance keys never
+   collide. *)
+let untaped_ids = Atomic.make 0
+
+let id t =
+  if t.id = 0 then t.id <- -(Atomic.fetch_and_add untaped_ids 1 + 1);
+  t.id
+
 let node_count () = Atomic.get counter
+
+let primal f =
+  let tl = Domain.DLS.get tally in
+  if tl.primal then f ()
+  else begin
+    tl.primal <- true;
+    match f () with
+    | r ->
+      tl.primal <- false;
+      r
+    | exception e ->
+      tl.primal <- false;
+      raise e
+  end
 
 let accumulate t delta =
   match t.g with
@@ -245,6 +296,7 @@ and replay f g =
     raise e)
 
 let backward root =
+  if root.id <= 0 then invalid_arg "Ad.backward: root was built inside Ad.primal";
   if not (Tensor.is_scalar root.v || Tensor.size root.v = 1) then
     invalid_arg "Ad.backward: root is not a scalar";
   let swept = local_sweep ~stop:0 root (Tensor.ones (Tensor.shape root.v)) in
@@ -254,7 +306,8 @@ let backward root =
   tl.retired <- tl.retired + swept;
   retire swept
 
-(* [checkpoint f] runs [f] once, discards the tape segment it built,
+(* [barrier ~pool f], which is [checkpoint f] outside [primal], runs
+   [f] once, discards the tape segment it built,
    and returns a single barrier node carrying the segment's value; the
    segment is rebuilt by replaying [f] if and when a gradient reaches
    the barrier during [backward]. [f] must be replay-deterministic:
@@ -265,7 +318,7 @@ let backward root =
    segment's transient tensors are drawn from the domain's segment
    pool, so per-step heap allocation stops scaling with the number of
    segments. *)
-let checkpoint ?(pool = true) f =
+let barrier ~pool f =
   let start = Atomic.get counter in
   let tl = Domain.DLS.get tally in
   let created0 = tl.created and retired0 = tl.retired in
@@ -293,7 +346,10 @@ let checkpoint ?(pool = true) f =
     else r.v
   in
   finish ();
-  if r.id <= start then r
+  (* A root [f] built inside [primal] is a constant: keep it, with the
+     copied value. *)
+  if r.id <= 0 then { r with id = 0; v }
+  else if r.id <= start then r
   else begin
     (* Boundary discovery replicates the backward DFS (parents in array
        order, first-encounter) so the barrier's parent order gives
@@ -332,6 +388,10 @@ let checkpoint ?(pool = true) f =
     { id; v; g = None; g_owned = false; parents; remat = Some f }
   end
 
+(* Inside [primal] there is no tape to discard. *)
+let checkpoint ?(pool = true) f =
+  if (Domain.DLS.get tally).primal then f () else barrier ~pool f
+
 let grad t =
   match t.g with
   | Some g -> g
@@ -365,11 +425,16 @@ let unbroadcast target g =
     Tensor.reshape target !g
   end
 
+(* The hot ops branch on the scope before building their parent
+   lists; the rest go through [node]. *)
 let binop f dfa dfb a b =
   let v = f a.v b.v in
-  node v
-    [ (a, fun g -> unbroadcast (Tensor.shape a.v) (dfa g));
-      (b, fun g -> unbroadcast (Tensor.shape b.v) (dfb g)) ]
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v
+  else
+    taped tl v
+      [ (a, fun g -> unbroadcast (Tensor.shape a.v) (dfa g));
+        (b, fun g -> unbroadcast (Tensor.shape b.v) (dfb g)) ]
 
 let add a b = binop Tensor.add (fun g -> g) (fun g -> g) a b
 let sub a b = binop Tensor.sub (fun g -> g) (fun g -> Tensor.neg g) a b
@@ -385,11 +450,24 @@ let div a b =
 
 let unop f df a =
   let v = f a.v in
-  node v [ (a, fun g -> Tensor.mul g (df a.v v)) ]
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v
+  else taped tl v [ (a, fun g -> Tensor.mul g (df a.v v)) ]
 
-let neg a = node (Tensor.neg a.v) [ (a, Tensor.neg) ]
-let scale c a = node (Tensor.scale c a.v) [ (a, Tensor.scale c) ]
-let add_scalar c a = node (Tensor.add_scalar c a.v) [ (a, fun g -> g) ]
+let neg a =
+  let v = Tensor.neg a.v in
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v else taped tl v [ (a, Tensor.neg) ]
+
+let scale c a =
+  let v = Tensor.scale c a.v in
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v else taped tl v [ (a, Tensor.scale c) ]
+
+let add_scalar c a =
+  let v = Tensor.add_scalar c a.v in
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v else taped tl v [ (a, fun g -> g) ]
 (* The hot vjps use the specialized one-pass tensor kernels instead of
    closure maps (same float expressions, so every gradient bit is
    unchanged — see [Kernel]). *)

@@ -36,14 +36,37 @@ val is_leaf : t -> bool
     to enforce the paper's R / R* smoothness discipline at runtime. *)
 
 val id : t -> int
-(** A unique, stable identifier for this node (graph-construction
-    order). Used to key side tables — e.g. the provenance registry that
-    lets smoothness errors name the sample site a value came from. *)
+(** A unique, stable identifier for this node. Used to key side
+    tables — e.g. the provenance registry that lets smoothness errors
+    name the sample site a value came from. Taped nodes carry positive
+    ids in graph-construction order; a node built inside {!primal}
+    takes a negative id on the first call. *)
 
 val node_count : unit -> int
-(** Total number of AD nodes constructed so far (process-wide,
-    monotone). Deltas between two reads measure a region's tape
-    growth; the observability layer gauges this per training step. *)
+(** Number of taped AD nodes constructed so far (process-wide,
+    monotone). Nodes built inside {!primal} are not counted. Deltas
+    between two reads measure a region's tape growth; the
+    observability layer gauges this per training step. *)
+
+(** {1 Values nobody differentiates} *)
+
+val primal : (unit -> 'a) -> 'a
+(** [primal f] runs [f] in a tape-free scope. Inside it every op
+    computes the same tensor, bit for bit, and records nothing else: no
+    parents, no vector-Jacobian closures, no id from the node counter,
+    no live/peak or per-domain tallies. Use it for values that are only
+    ever read as floats (serve replies, [Adev.estimate], MVD coupling
+    replays).
+
+    - {!is_leaf} gives the same verdict as outside: op results are
+      never leaves; {!const}, {!scalar} and {!stop_grad} always are.
+    - A node built inside is a constant to any later {!backward}, and
+      {!backward} on a root built inside raises [Invalid_argument].
+    - {!checkpoint} inside the scope just runs its thunk.
+    - The scope nests, and is restored when [f] raises. It is
+      domain-local: work that [f] hands to other domains is taped.
+      Systhreads of one domain share it, so do not run taped work on
+      another thread of the domain while [f] runs. *)
 
 (** {1 Live-tape accounting}
 
@@ -100,7 +123,8 @@ val set_replay_silencer : ((unit -> unit) -> unit) -> unit
 
 val backward : t -> unit
 (** Seed the (scalar) root with gradient 1 and backpropagate. Safe to
-    call once per graph. @raise Invalid_argument on a non-scalar root. *)
+    call once per graph. @raise Invalid_argument on a non-scalar root,
+    or a root built inside {!primal}. *)
 
 val grad : t -> Tensor.t
 (** The gradient accumulated into this node by the last {!backward}

@@ -14,18 +14,45 @@ let score_function_surrogate ?(baseline = 0.) y lp =
   y
   + ((Ad.stop_grad y - Ad.scalar baseline) * (lp - Ad.stop_grad lp))
 
-(* MVD couplings evaluate the continuation for its primal value only.
-   While doing so, downstream sample sites must not spin up their own
-   estimator machinery (ENUM branch products, nested couplings, score
-   terms): a plain detached sample preserves the coupling's expectation
-   and keeps its cost linear instead of exponential in the number of
-   downstream sites. *)
-let primal_mode = ref false
+exception Unshardable_site of string
 
-let in_primal_mode f =
-  let saved = !primal_mode in
-  primal_mode := true;
-  Fun.protect ~finally:(fun () -> primal_mode := saved) f
+(* Domain-local site context. [detached]: MVD couplings evaluate the
+   continuation for its primal value only. While doing so, downstream
+   sample sites must not spin up their own estimator machinery (ENUM
+   branch products, nested couplings, score terms): a plain detached
+   sample preserves the coupling's expectation and keeps its cost
+   linear instead of exponential in the number of downstream sites.
+   [sharded]: the site runs inside one shard of a sharded training
+   step, where a REINFORCE-baseline cell would be shared by shards
+   running concurrently. Both are per domain, because shard blocks run
+   on several domains at once. *)
+type ctx = { mutable detached : bool; mutable sharded : bool }
+
+let ctx = Domain.DLS.new_key (fun () -> { detached = false; sharded = false })
+
+let replay_detached f =
+  let c = Domain.DLS.get ctx in
+  let saved = c.detached in
+  c.detached <- true;
+  match Ad.primal f with
+  | r ->
+    c.detached <- saved;
+    r
+  | exception e ->
+    c.detached <- saved;
+    raise e
+
+let in_shard f =
+  let c = Domain.DLS.get ctx in
+  let saved = c.sharded in
+  c.sharded <- true;
+  match f () with
+  | r ->
+    c.sharded <- saved;
+    r
+  | exception e ->
+    c.sharded <- saved;
+    raise e
 
 (* Observability plumbing. [addr] is the trace address a [Gen]
    interpreter attached via [sample_at] ("" for anonymous sites, shown
@@ -48,7 +75,8 @@ let record_site addr (d : 'a Dist.t) coeff =
 
 let sample_at (addr : string) (d : 'a Dist.t) : 'a t =
  fun key k ->
-  if !primal_mode then k (d.sample key)
+  let c = Domain.DLS.get ctx in
+  if c.detached then k (d.sample key)
   else
   match d.strategy with
   | Dist.Reparam -> begin
@@ -88,6 +116,8 @@ let sample_at (addr : string) (d : 'a Dist.t) : 'a t =
     let y = k x in
     if Obs.live () then record_site addr d (Tensor.to_scalar (Ad.value y));
     score_function_surrogate y (d.log_density x)
+  | Dist.Reinforce_baseline _ when c.sharded ->
+    raise (Unshardable_site (site_address addr d))
   | Dist.Reinforce_baseline cell ->
     let x =
       if Obs.live () then begin
@@ -125,7 +155,7 @@ let sample_at (addr : string) (d : 'a Dist.t) : 'a t =
       let x, couplings = mvd key in
       let y = k x in
       let coupling_term (c : 'a Dist.coupling) =
-        let primal v = Tensor.to_scalar (Ad.value (in_primal_mode (fun () -> k v))) in
+        let primal v = Tensor.to_scalar (Ad.value (replay_detached (fun () -> k v))) in
         let y_plus = primal c.plus in
         let y_minus = primal c.minus in
         if Obs.live () then
@@ -168,7 +198,7 @@ let sample_batched_at addr ~n (d : 'a Dist.t) : 'a t =
     | None ->
       raise (Dist.Not_batchable (d.Dist.name ^ ": no batched execution payload"))
   in
-  if !primal_mode then k (b.Dist.sample_n key n)
+  if (Domain.DLS.get ctx).detached then k (b.Dist.sample_n key n)
   else
     match d.Dist.strategy with
     | Dist.Reparam -> begin
@@ -270,9 +300,10 @@ let expectation_mean ?(remat = false) ~samples m key =
 let estimate ?(samples = 1) m key =
   let keys = Prng.split_many key samples in
   let total =
-    Array.fold_left
-      (fun acc ki -> acc +. Tensor.to_scalar (Ad.value (expectation m ki)))
-      0. keys
+    Ad.primal (fun () ->
+        Array.fold_left
+          (fun acc ki -> acc +. Tensor.to_scalar (Ad.value (expectation m ki)))
+          0. keys)
   in
   total /. float_of_int samples
 

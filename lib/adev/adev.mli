@@ -24,7 +24,9 @@
       is the exactly enumerated expectation (probabilities carry
       gradients).
     - MVD: the continuation runs at the sampled value (pathwise part)
-      and, primal-only, at each coupling's positive/negative samples;
+      and, primal-only, at each coupling's positive/negative samples
+      (inside [Ad.primal], with downstream sites drawing plain detached
+      samples; both marks are domain-local);
       the coupling contributes
       [(param - stop param) * weight * (y+ - y-)], whose value is 0 and
       whose gradient is the measure-valued derivative. Couplings share
@@ -146,7 +148,9 @@ val expectation_mean : ?remat:bool -> samples:int -> Ad.t t -> Prng.key -> Ad.t
     between construction and replay; see docs/MEMORY.md). *)
 
 val estimate : ?samples:int -> Ad.t t -> Prng.key -> float
-(** Primal-only Monte Carlo estimate (default 1 sample). *)
+(** Primal-only Monte Carlo estimate (default 1 sample). Runs inside
+    [Ad.primal], so it builds no tape; the value is bit-identical to
+    the primal of {!expectation_mean}'s surrogate terms. *)
 
 val grad :
   params:(string * Ad.t) list ->
@@ -158,6 +162,21 @@ val grad :
     returns the objective estimate together with the gradient
     accumulated in each named parameter leaf. Parameters must be fresh
     leaf nodes for this call (gradients accumulate per node). *)
+
+(** {1 Sharded steps} *)
+
+exception Unshardable_site of string
+(** Raised by a REINFORCE-with-baseline sample site reached inside
+    {!in_shard}, before it samples or touches its baseline cell. The
+    payload is the site's address ("<dist-name>" when anonymous). A
+    baseline cell is mutable state shared by every shard, so its
+    updates would depend on how the shards are scheduled. *)
+
+val in_shard : (unit -> 'a) -> 'a
+(** [in_shard f] runs [f] as one shard of a data-parallel step: the
+    training driver wraps every shard block in it whenever a step has
+    more than one shard, on any domain count. The mark is domain-local,
+    nests, and is restored when [f] raises. *)
 
 (** {1 Syntax} *)
 

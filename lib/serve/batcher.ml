@@ -283,8 +283,12 @@ let trace_of_wire pairs =
                Ad.const (Tensor.of_array [| Array.length arr |] arr)) ))
        pairs)
 
+(* Score, elbo and sample replies are floats nobody differentiates, so
+   their density rows, particle draws and sample draws run inside
+   [Ad.primal] and build no tape; grad replies stay taped. *)
 let density_scalar entry tr =
-  Ad.to_float (Adev.run (Gen.log_density entry.m_model tr) key0 (fun w -> w))
+  Ad.primal (fun () ->
+      Ad.to_float (Adev.run (Gen.log_density entry.m_model tr) key0 (fun w -> w)))
 
 (* One stacked density evaluation over [n >= 2] traces that all carry
    exactly the model's latent signature. Returns the per-row joint
@@ -292,21 +296,23 @@ let density_scalar entry tr =
    the caller falls back to scalar rows. *)
 let density_vectorized entry rows =
   let n = Array.length rows in
-  let stacked =
-    Trace.of_list
-      (List.map
-         (fun addr ->
-           ( addr,
-             Value.Real
-               (Ad.stack0
-                  (Array.to_list
-                     (Array.map (fun tr -> Trace.get_ad addr tr) rows))) ))
-         entry.m_sig)
+  let v =
+    Ad.primal (fun () ->
+        let stacked =
+          Trace.of_list
+            (List.map
+               (fun addr ->
+                 ( addr,
+                   Value.Real
+                     (Ad.stack0
+                        (Array.to_list
+                           (Array.map (fun tr -> Trace.get_ad addr tr) rows))) ))
+               entry.m_sig)
+        in
+        Ad.value
+          (Adev.run (Gen.log_density_batched ~n entry.m_model stacked) key0
+             (fun w -> w)))
   in
-  let lw =
-    Adev.run (Gen.log_density_batched ~n entry.m_model stacked) key0 (fun w -> w)
-  in
-  let v = Ad.value lw in
   if Tensor.shape v <> [| n |] then
     raise (Dist.Not_batchable "serve: batched density did not return [n] rows");
   Array.init n (Tensor.get_flat v)
@@ -318,12 +324,13 @@ let rows_of_job entry job =
   match job.j_kind with
   | K_score tr -> [ { r_trace = tr; r_logq = 0. } ]
   | K_elbo { seed; particles } ->
-    let guide = detached_guide entry in
-    List.init particles (fun p ->
-        let _, qtrace, logq =
-          Gen.sample_prior guide (Prng.fold_in (Prng.key seed) p)
-        in
-        { r_trace = qtrace; r_logq = logq })
+    Ad.primal (fun () ->
+        let guide = detached_guide entry in
+        List.init particles (fun p ->
+            let _, qtrace, logq =
+              Gen.sample_prior guide (Prng.fold_in (Prng.key seed) p)
+            in
+            { r_trace = qtrace; r_logq = logq }))
   | K_sample _ | K_grad _ -> []
 
 let deliver job out =
@@ -333,9 +340,10 @@ let deliver job out =
   Mutex.unlock job.j_cell.c_m
 
 let run_sample entry seed =
-  let guide = detached_guide entry in
-  let _, qtrace, logq = Gen.sample_prior guide (Prng.key seed) in
-  O_sample (wire_of_trace qtrace, logq)
+  Ad.primal (fun () ->
+      let guide = detached_guide entry in
+      let _, qtrace, logq = Gen.sample_prior guide (Prng.key seed) in
+      O_sample (wire_of_trace qtrace, logq))
 
 let run_grad entry seed =
   let frame = Store.Frame.make entry.m_store in

@@ -22,6 +22,11 @@
       [logp_row - logq_p] in particle order.
     - [sample] and [grad] execute scalar inside the batch loop.
 
+    Score, elbo and sample replies are floats nobody differentiates:
+    their density rows, particle draws and sample draws run inside
+    [Ad.primal], so they build no tape and return the same bits a taped
+    evaluation would. Grad replies stay taped.
+
     Row [i] of [Gen.log_density_batched] is bit-identical to a scalar
     evaluation of that row's trace (the lib/gen batched-engine
     invariant), so a request coalesced into a 64-row batch returns

@@ -111,6 +111,32 @@ let merge_grads left right =
   in
   merged @ List.filter (fun (n, _) -> Hashtbl.mem pending n) right
 
+(* Data-parallel sharding: one independent forward + backward per
+   shard (own frame, own key [fold_in key_step i], own tape), scheduled
+   on the domain pool, combined by fixed-shape tree folds — so the
+   result is bit-identical for every domain count. Shard blocks run
+   with observability suppressed (the recorder is main-domain-only)
+   and marked [Adev.in_shard], so a REINFORCE-baseline site raises
+   [Adev.Unshardable_site] instead of sharing its cell. *)
+let run_shards ~store ~spec ~step ~nshards key_step =
+  let values = Array.make nshards 0. in
+  let grads = Array.make nshards [] in
+  Parallel.run ~blocks:nshards (fun i ->
+      Obs.suppress (fun () ->
+          Adev.in_shard (fun () ->
+              let frame = Store.Frame.make store in
+              let build () =
+                spec.make frame ~step ~shard:i ~shards:nshards
+                  (Prng.fold_in key_step i)
+              in
+              let surrogate =
+                if spec.remat then Ad.checkpoint build else build ()
+              in
+              Ad.backward surrogate;
+              values.(i) <- Tensor.to_scalar (Ad.value surrogate);
+              grads.(i) <- Store.Frame.grads frame)));
+  (tree_fold ( +. ) values 0 nshards, tree_fold merge_grads grads 0 nshards)
+
 let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
     ~spec key =
   let g = match guard with Some g -> g | None -> Guard.create () in
@@ -187,31 +213,10 @@ let fit_generic ~store ~optim ~direction ~guard ~persist ~on_step ~steps
           (Tensor.to_scalar (Ad.value surrogate), Store.Frame.grads frame)
         end
         else begin
-          (* Data-parallel sharding: one independent forward + backward
-             per shard (own frame, own key, own tape), scheduled on the
-             domain pool. Shard blocks run with observability
-             suppressed (the recorder is main-domain-only). The
-             per-shard key is [fold_in key_step i] and the reduction is
-             a fixed-shape tree, so the result is bit-identical for
-             every domain count. *)
           let t_fwd = if live then Obs.start () else 0. in
-          let values = Array.make nshards 0. in
-          let grads = Array.make nshards [] in
-          Parallel.run ~blocks:nshards (fun i ->
-              Obs.suppress (fun () ->
-                  let frame = Store.Frame.make store in
-                  let build () =
-                    spec.make frame ~step:!step ~shard:i ~shards:nshards
-                      (Prng.fold_in key_step i)
-                  in
-                  let surrogate =
-                    if spec.remat then Ad.checkpoint build else build ()
-                  in
-                  Ad.backward surrogate;
-                  values.(i) <- Tensor.to_scalar (Ad.value surrogate);
-                  grads.(i) <- Store.Frame.grads frame));
-          let objective = tree_fold ( +. ) values 0 nshards in
-          let reduced = tree_fold merge_grads grads 0 nshards in
+          let objective, reduced =
+            run_shards ~store ~spec ~step:!step ~nshards key_step
+          in
           if live then begin
             Obs.stop Obs.Grad "train/forward" t_fwd;
             Obs.hist "train/objective" objective
@@ -393,24 +398,7 @@ let shard_step ~store ~spec ~step key =
     Ad.backward surrogate;
     (Tensor.to_scalar (Ad.value surrogate), Store.Frame.grads frame)
   end
-  else begin
-    let values = Array.make nshards 0. in
-    let grads = Array.make nshards [] in
-    Parallel.run ~blocks:nshards (fun i ->
-        Obs.suppress (fun () ->
-            let frame = Store.Frame.make store in
-            let build () =
-              spec.make frame ~step ~shard:i ~shards:nshards
-                (Prng.fold_in key_step i)
-            in
-            let surrogate =
-              if spec.remat then Ad.checkpoint build else build ()
-            in
-            Ad.backward surrogate;
-            values.(i) <- Tensor.to_scalar (Ad.value surrogate);
-            grads.(i) <- Store.Frame.grads frame));
-    (tree_fold ( +. ) values 0 nshards, tree_fold merge_grads grads 0 nshards)
-  end
+  else run_shards ~store ~spec ~step ~nshards key_step
 
 let eval ~store ?(samples = 100) ~objective key =
   let frame = Store.Frame.make store in

@@ -40,9 +40,15 @@ type report = {
     keyed by parameter name — so for any fixed shard count, results
     are bit-identical whether the pool runs 1 domain or many. Shard
     surrogates must be scaled so that their {e sum} over shards is the
-    step objective. Shard blocks run with observability suppressed;
-    REINFORCE-baseline sites (shared mutable cells) are not
-    sharding-safe — see docs/MEMORY.md. *)
+    step objective. Shard blocks run with observability suppressed.
+
+    When a step has more than one shard, every shard block runs under
+    [Adev.in_shard], on any domain count. A REINFORCE-baseline site
+    (a mutable cell every shard would share) reached there raises
+    [Adev.Unshardable_site] with its address, before it samples or
+    updates the cell, so the step fails before any parameter update
+    (see docs/MEMORY.md). MVD sites are sharding-safe: their coupling
+    replays are marked per domain. *)
 
 type shard_spec = {
   shards : int;  (** Number of data-parallel shards per step (>= 1). *)
@@ -70,7 +76,8 @@ val shard_step :
     objective value and the tree-reduced gradients. The key discipline
     matches the driver ([fold_in key step], then [fold_in _ shard] when
     sharded), so the memory bench and the determinism tests exercise
-    the same reduction shape {!fit_spec} runs. *)
+    the same reduction shape {!fit_spec} runs.
+    @raise Adev.Unshardable_site as described above. *)
 
 val fit_spec :
   store:Store.t ->
@@ -160,7 +167,9 @@ val fit_batch :
     ranges, one per shard, estimated data-parallel on the domain pool
     and tree-reduced; [shards = 1] reproduces the historical stream
     bit-for-bit, and any fixed [shards > 1] is bit-reproducible across
-    domain counts. [remat] checkpoints each shard's surrogate. *)
+    domain counts. [remat] checkpoints each shard's surrogate.
+    @raise Adev.Unshardable_site when [shards > 1] and an objective
+    reaches a REINFORCE-baseline site; no update has been applied. *)
 
 val fit_batched :
   store:Store.t ->
@@ -210,4 +219,5 @@ val eval :
   Prng.key ->
   float
 (** Monte Carlo estimate of an objective at the current parameters,
-    without updating them. *)
+    without updating them. Runs through [Adev.estimate], so it builds
+    no tape. *)

@@ -156,6 +156,131 @@ let test_add_list () =
   Alcotest.(check (float 1e-9)) "add_list empty" 0.
     (Ad.to_float (Ad.add_list []))
 
+(* ------------------------------------------------------------------ *)
+(* The tape-free scope. *)
+
+let tensor_bits t = Array.map Int64.bits_of_float (Tensor.to_array t)
+
+(* Every op of the module over fresh leaves, returning each result. *)
+let every_op data =
+  let x = Ad.const (Tensor.of_array [| 3 |] data) in
+  let m = Ad.const mat in
+  let s = Ad.scalar data.(0) in
+  let open Ad.O in
+  let results =
+    [ x + s; x - s; x * x; x / Ad.add_scalar 3. x; -x; Ad.scale 0.7 x;
+      Ad.add_scalar 0.1 x; Ad.exp x; Ad.log x; Ad.sqrt x; Ad.sigmoid x;
+      Ad.tanh x; Ad.relu (Ad.add_scalar (-1.) x); Ad.softplus x;
+      Ad.pow_scalar x 1.5; Ad.sum x; Ad.mean x; Ad.dot x x;
+      Ad.matmul m m; Ad.matmul m (Ad.slice0 m 0); Ad.transpose m;
+      Ad.logsumexp x; Ad.sum_axis 0 m; Ad.logsumexp_axis 1 m;
+      Ad.bernoulli_logits_scores ~x:(Tensor.of_list1 [ 1.; 0.; 1. ]) x;
+      Ad.log_softmax x; Ad.reshape [| 3; 1 |] x; Ad.concat0 [ x; x ];
+      Ad.stack0 [ x; x ]; Ad.get m [| 1; 0 |]; Ad.add_list [ x; x; x ];
+      Ad.custom ~value:(Tensor.scale 2. (Ad.value x))
+        ~parents:[ (x, Tensor.scale 2.) ];
+      Ad.checkpoint (fun () -> Ad.sum (Ad.exp x)); Ad.stop_grad (x * x) ]
+  in
+  (x, results)
+
+let arb_pos3 =
+  QCheck.make
+    ~print:(fun a -> Tensor.to_string (Tensor.of_array [| 3 |] a))
+    QCheck.Gen.(array_size (return 3) (float_range 0.1 3.))
+
+let prop_primal_bits =
+  QCheck.Test.make ~name:"primal scope computes taped bits" ~count:40 arb_pos3
+    (fun data ->
+      let bits_of (_, rs) = List.map (fun r -> tensor_bits (Ad.value r)) rs in
+      bits_of (every_op data) = bits_of (Ad.primal (fun () -> every_op data)))
+
+let test_primal_leaves () =
+  let verdicts () =
+    let x, results = every_op [| 0.5; 1.5; 2.5 |] in
+    let ops = List.filteri (fun i _ -> i < List.length results - 1) results in
+    ( Ad.is_leaf x,
+      Ad.is_leaf (Ad.scalar 1.),
+      Ad.is_leaf (Ad.stop_grad (Ad.exp x)),
+      List.map Ad.is_leaf ops )
+  in
+  let taped = verdicts () and untaped = Ad.primal verdicts in
+  Alcotest.(check bool) "same verdicts" true (taped = untaped);
+  let const_leaf, scalar_leaf, stop_leaf, ops = untaped in
+  Alcotest.(check bool) "const, scalar and stop_grad are leaves" true
+    (const_leaf && scalar_leaf && stop_leaf);
+  Alcotest.(check bool) "op results are not leaves" true
+    (List.for_all not ops)
+
+let test_primal_no_gradient () =
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "backward on a primal root raises" true
+    (raises (fun () ->
+         Ad.backward (Ad.primal (fun () -> Ad.sum (Ad.exp (Ad.const vec))))));
+  Alcotest.(check bool) "backward on a primal leaf raises" true
+    (raises (fun () -> Ad.backward (Ad.primal (fun () -> Ad.scalar 1.))));
+  (* A value built inside is a constant to a later taped backward: the
+     gradient of [p * q] with [q = primal (3p)] is [q], not [6p]. *)
+  let p = Ad.scalar 2. in
+  let q = Ad.primal (fun () -> Ad.scale 3. p) in
+  let r = Ad.mul p q in
+  Ad.backward r;
+  Alcotest.(check (float 0.)) "primal operand is constant" 6.
+    (Tensor.to_scalar (Ad.grad p));
+  (* A barrier whose thunk returns an untaped value keeps a copy of it
+     that later segments cannot recycle. *)
+  let c = Ad.checkpoint (fun () -> Ad.primal (fun () -> Ad.exp (Ad.const vec))) in
+  let before = tensor_bits (Ad.value c) in
+  ignore (Ad.checkpoint (fun () -> Ad.sum (Ad.log (Ad.const pos_vec))));
+  Alcotest.(check bool) "untaped barrier root keeps its value" true
+    (tensor_bits (Ad.value c) = before && not (Ad.is_leaf c));
+  (* Asking for an id does not make an untaped node taped. *)
+  let q' = Ad.primal (fun () -> Ad.exp p) in
+  Alcotest.(check bool) "untaped ids are negative and stable" true
+    (Ad.id q' < 0 && Ad.id q' = Ad.id q');
+  let p' = Ad.scalar 0.5 in
+  let r' = Ad.mul p' q' in
+  Ad.backward r';
+  Alcotest.(check (float 0.)) "still constant after Ad.id"
+    (Tensor.to_scalar (Ad.value q'))
+    (Tensor.to_scalar (Ad.grad p'))
+
+exception Boom
+
+let taped_now () =
+  let n0 = Ad.node_count () in
+  ignore (Ad.exp (Ad.scalar 1.));
+  Ad.node_count () > n0
+
+let test_primal_scoping () =
+  Alcotest.(check bool) "taped outside" true (taped_now ());
+  Ad.primal (fun () ->
+      Alcotest.(check bool) "untaped inside" false (taped_now ());
+      Ad.primal (fun () ->
+          Alcotest.(check bool) "untaped nested" false (taped_now ()));
+      Alcotest.(check bool) "still untaped after the inner scope" false
+        (taped_now ());
+      (try Ad.primal (fun () -> raise Boom) with Boom -> ());
+      Alcotest.(check bool) "still untaped after an inner raise" false
+        (taped_now ()));
+  Alcotest.(check bool) "taped after the scope" true (taped_now ());
+  (try Ad.primal (fun () -> raise Boom) with Boom -> ());
+  Alcotest.(check bool) "restored after a raising thunk" true (taped_now ());
+  (* Domain-local: another domain keeps taping while this one is in the
+     scope. *)
+  let other =
+    Ad.primal (fun () -> Domain.join (Domain.spawn taped_now))
+  in
+  Alcotest.(check bool) "other domains stay taped" true other
+
+let test_node_count_taped_only () =
+  let x = Ad.const vec in
+  let n0 = Ad.node_count () in
+  ignore (Ad.primal (fun () -> snd (every_op [| 0.5; 1.5; 2.5 |])));
+  ignore (Ad.primal (fun () -> Ad.sum (Ad.mul x x)));
+  Alcotest.(check int) "nothing counted in the scope" n0 (Ad.node_count ());
+  ignore (Ad.sum (Ad.mul x x));
+  Alcotest.(check int) "taped ops counted" (n0 + 2) (Ad.node_count ())
+
 (* Property: random expression trees gradient-check. *)
 
 let arb_vec3 =
@@ -182,7 +307,8 @@ let prop_random_expression =
       in
       Tensor.approx_equal ~tol:1e-3 analytic numeric)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_random_expression ]
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest [ prop_random_expression; prop_primal_bits ]
 
 let suites =
   [ ( "ad",
@@ -201,5 +327,13 @@ let suites =
         Alcotest.test_case "mlp grad check" `Quick test_mlp_grad_check;
         Alcotest.test_case "non-scalar backward" `Quick
           test_non_scalar_backward_rejected;
-        Alcotest.test_case "add_list" `Quick test_add_list ]
+        Alcotest.test_case "add_list" `Quick test_add_list;
+        Alcotest.test_case "primal scope keeps leaf verdicts" `Quick
+          test_primal_leaves;
+        Alcotest.test_case "primal values carry no gradient" `Quick
+          test_primal_no_gradient;
+        Alcotest.test_case "primal scope nests and restores" `Quick
+          test_primal_scoping;
+        Alcotest.test_case "node_count counts taped nodes only" `Quick
+          test_node_count_taped_only ]
       @ qcheck_cases ) ]

@@ -170,18 +170,22 @@ let test_clean_program_no_diagnostics () =
 
 let test_smoothness_error_attribution () =
   (* The runtime error the analyzer piggy-backs on carries the sampling
-     address and gradient strategy of the offending value. *)
-  match
-    Adev.run (Gen.simulate branchy_reparam) k0 (fun (_, _, w) -> w)
-  with
-  | (_ : Ad.t) -> Alcotest.fail "expected Smoothness_error"
-  | exception Value.Smoothness_error info ->
-    Alcotest.(check (option string)) "address" (Some "x") info.Value.address;
-    Alcotest.(check (option string)) "strategy" (Some "REPARAM")
-      info.Value.strategy;
-    let msg = Value.smoothness_message info in
-    Alcotest.(check bool) "message mentions address" true
-      (contains msg {|"x"|})
+     address and gradient strategy of the offending value — taped, and
+     inside the tape-free scope alike. *)
+  let run () = Adev.run (Gen.simulate branchy_reparam) k0 (fun (_, _, w) -> w) in
+  List.iter
+    (fun (scope, run) ->
+      match run () with
+      | (_ : Ad.t) -> Alcotest.failf "%s: expected Smoothness_error" scope
+      | exception Value.Smoothness_error info ->
+        Alcotest.(check (option string)) (scope ^ " address") (Some "x")
+          info.Value.address;
+        Alcotest.(check (option string)) (scope ^ " strategy")
+          (Some "REPARAM") info.Value.strategy;
+        let msg = Value.smoothness_message info in
+        Alcotest.(check bool) (scope ^ " message mentions address") true
+          (contains msg {|"x"|}))
+    [ ("taped", run); ("primal", fun () -> Ad.primal run) ]
 
 let test_duplicate_address_payload () =
   let prog =

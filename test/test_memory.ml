@@ -136,6 +136,112 @@ let test_sharded_fit_fault_deterministic () =
   Alcotest.(check bool) "4 domains under faults bit-identical" true
     (fit_store ~domains:4 ~remat:true ~fault:spec 6 = reference)
 
+(* MVD under sharding: the coupling replays' detached-sampling mark is
+   per domain, so a shard's replay cannot change how a concurrent shard
+   draws its REPARAM sites. One MVD site followed by many REPARAM sites
+   makes any leak visible in the [r] gradient. *)
+let mvd_spec =
+  { Train.shards = 4;
+    remat = false;
+    make =
+      (fun frame ~step:_ ~shard:_ ~shards:_ key ->
+        let r = Store.Frame.get frame "r" in
+        let obj =
+          let* x = Adev.sample (Dist.normal_mvd r (Ad.scalar 1.)) in
+          let rec go i acc =
+            if i = 0 then Adev.return acc
+            else
+              let* z = Adev.sample (Dist.normal_reparam r (Ad.scalar 1.)) in
+              go (i - 1) (Ad.add acc (Ad.mul z x))
+          in
+          go 50 (Ad.scalar 0.)
+        in
+        Adev.expectation obj key) }
+
+let with_domains domains f =
+  let saved = Parallel.domains () in
+  Parallel.set_domains domains;
+  Fun.protect ~finally:(fun () -> Parallel.set_domains saved) f
+
+let mvd_shard_bits ~domains =
+  with_domains domains (fun () ->
+      let store = Store.create () in
+      Store.ensure store "r" (fun () -> Tensor.scalar 0.3);
+      List.init 20 (fun step ->
+          let v, grads = Train.shard_step ~store ~spec:mvd_spec ~step (Prng.key 8) in
+          (bits v, grads_bits grads)))
+
+(* A mark left set by an earlier sharded run would detach every site
+   and zero the [r] gradient. *)
+let check_live_gradients runs =
+  let zero = bits 0. in
+  Alcotest.(check bool) "gradients are non-zero" true
+    (List.for_all
+       (fun (_, grads) -> List.for_all (fun (_, g) -> g <> [| zero |]) grads)
+       runs)
+
+let test_mvd_shards_across_domains () =
+  let reference = mvd_shard_bits ~domains:1 in
+  check_live_gradients reference;
+  Alcotest.(check bool) "2 domains bit-identical" true
+    (mvd_shard_bits ~domains:2 = reference);
+  Alcotest.(check bool) "4 domains bit-identical" true
+    (mvd_shard_bits ~domains:4 = reference)
+
+let test_mvd_shards_leave_no_state () =
+  let fresh = mvd_shard_bits ~domains:1 in
+  check_live_gradients fresh;
+  ignore (mvd_shard_bits ~domains:4);
+  Alcotest.(check bool) "1 domain after 4 equals a fresh run" true
+    (mvd_shard_bits ~domains:1 = fresh)
+
+(* A REINFORCE-baseline cell is shared by every shard: a sharded step
+   that reaches one fails with a typed error before any update, on any
+   domain count. *)
+let baseline_fit ~domains ~shards =
+  with_domains domains (fun () ->
+      let store = Store.create () in
+      Store.ensure store "p" (fun () -> Tensor.scalar 0.);
+      let cell = Baseline.create () in
+      let objectives frame _step =
+        let p = Store.Frame.get frame "p" in
+        let prog =
+          Gen.sample (Dist.flip_reinforce_bl cell (Ad.sigmoid p)) "coin"
+        in
+        List.init 4 (fun _ ->
+            Adev.map
+              (fun (b, _, _) -> if b then Ad.sigmoid p else Ad.scalar 0.)
+              (Gen.simulate prog))
+      in
+      let before = store_bits store in
+      let outcome =
+        match
+          Train.fit_batch ~store ~optim:(Optim.adam ~lr:0.1 ()) ~shards
+            ~steps:3 ~objectives (Prng.key 1)
+        with
+        | reports -> Ok (List.length reports)
+        | exception Adev.Unshardable_site addr -> Error addr
+      in
+      (outcome, store_bits store = before, Baseline.observations cell))
+
+let test_baseline_in_shard_raises () =
+  List.iter
+    (fun domains ->
+      match baseline_fit ~domains ~shards:2 with
+      | Error addr, unchanged, observed ->
+        Alcotest.(check string) "site address" "coin" addr;
+        Alcotest.(check bool) "no update applied" true unchanged;
+        Alcotest.(check int) "baseline cell untouched" 0 observed
+      | Ok _, _, _ ->
+        Alcotest.failf "%d domains: expected Adev.Unshardable_site" domains)
+    [ 1; 4 ];
+  match baseline_fit ~domains:1 ~shards:1 with
+  | Ok steps, unchanged, observed ->
+    Alcotest.(check int) "shards:1 trains" 3 steps;
+    Alcotest.(check bool) "parameters moved" false unchanged;
+    Alcotest.(check int) "baseline updated per datum" 12 observed
+  | Error addr, _, _ -> Alcotest.failf "shards:1 raised at %s" addr
+
 (* ------------------------------------------------------------------ *)
 (* QCheck: remat is bit-exact across estimator strategies and sample
    counts; the sliced VAE surrogate is bit-exact across segmentations;
@@ -238,10 +344,68 @@ let prop_registry_checkpoint_value =
             (registry_programs entry))
         Preflight.entries)
 
+(* The tape-free scope over the registry: [simulate]'s weight and
+   [log_density] of the trace it drew are the same bits inside
+   [Ad.primal] as taped. Programs with ENUM sites (the categorical
+   resampling step of [normalize] among them) must still enumerate
+   there: the scope is not ADEV's detached sampling. *)
+let trace_of (Gen.Packed prog) key =
+  let drawn = ref None in
+  match
+    Adev.run (Gen.simulate prog) key (fun (_, t, w) ->
+        drawn := Some t;
+        w)
+  with
+  | _ -> !drawn
+  | exception _ -> None
+
+let density_value (Gen.Packed prog) trace key =
+  match Adev.expectation (Gen.log_density prog trace) key with
+  | s -> Some (Ad.value s)
+  | exception _ -> None
+
+let same_bits a b =
+  match (a, b) with
+  | Some a, Some b -> tensor_bits a = tensor_bits b
+  | None, None -> true
+  | _ -> false
+
+let prop_registry_primal_value =
+  QCheck.Test.make ~name:"registry primal == taped (value bits)" ~count:10
+    QCheck.small_nat
+    (fun seed ->
+      List.for_all
+        (fun entry ->
+          List.for_all
+            (fun p ->
+              let key = Prng.key seed in
+              (not (run_twice_deterministic p key))
+              || same_bits (surrogate_value p key)
+                   (Ad.primal (fun () -> surrogate_value p key))
+                 &&
+                 match trace_of p key with
+                 | None -> true
+                 | Some t ->
+                   same_bits (density_value p t key)
+                     (Ad.primal (fun () -> density_value p t key)))
+            (registry_programs entry))
+        Preflight.entries)
+
+let test_primal_still_enumerates () =
+  let p = Ad.scalar 0.3 in
+  let m =
+    let* b = Adev.sample (Dist.flip_enum p) in
+    Adev.return (if b then Ad.scalar 1. else Ad.scalar 0.)
+  in
+  let taped = Ad.to_float (Adev.expectation m (Prng.key 0)) in
+  let untaped = Ad.primal (fun () -> Ad.to_float (Adev.expectation m (Prng.key 0))) in
+  Alcotest.(check bool) "exact expectation" true (bits taped = bits 0.3);
+  Alcotest.(check bool) "same bits in the scope" true (bits untaped = bits taped)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_remat_expectation_mean; prop_vae_sliced_remat;
-      prop_registry_checkpoint_value ]
+      prop_registry_checkpoint_value; prop_registry_primal_value ]
 
 let suites =
   [ ( "memory",
@@ -260,5 +424,13 @@ let suites =
         Alcotest.test_case "sharded fit bit-identical across domains" `Slow
           test_sharded_fit_deterministic;
         Alcotest.test_case "sharded fit deterministic under faults" `Slow
-          test_sharded_fit_fault_deterministic ]
+          test_sharded_fit_fault_deterministic;
+        Alcotest.test_case "MVD shards leave no state behind" `Quick
+          test_mvd_shards_leave_no_state;
+        Alcotest.test_case "MVD shard grads bit-identical across domains"
+          `Quick test_mvd_shards_across_domains;
+        Alcotest.test_case "baseline site in a sharded step raises" `Quick
+          test_baseline_in_shard_raises;
+        Alcotest.test_case "primal scope still enumerates" `Quick
+          test_primal_still_enumerates ]
       @ qcheck_cases ) ]

@@ -225,20 +225,17 @@ let run_sequential ~seed n =
   Batcher.drain b;
   outs
 
-let run_concurrent ~seed ~max_wait_us n =
-  let b =
-    fresh_batcher
-      { Batcher.max_batch = 64; max_wait_us; queue_bound = 1024 }
-  in
-  (* Fill the queue before the executor starts: maximal coalescing. *)
+(* Submit [reqs] from one thread each, filling the queue before the
+   executor starts (maximal coalescing); returns the replies in order. *)
+let submit_coalesced b reqs =
+  let n = List.length reqs in
   Batcher.pause b;
   Batcher.start b;
   let outs = Array.make n (Batcher.O_error ("missing", "no reply")) in
   let threads =
-    List.init n (fun i ->
-        Thread.create
-          (fun () -> outs.(i) <- Batcher.submit b (nth_test_request ~seed i))
-          ())
+    List.mapi
+      (fun i req -> Thread.create (fun () -> outs.(i) <- Batcher.submit b req) ())
+      reqs
   in
   (* Wait until every submission is queued, then release the executor. *)
   let rec wait_queued tries =
@@ -250,6 +247,14 @@ let run_concurrent ~seed ~max_wait_us n =
   wait_queued 2000;
   Batcher.resume b;
   List.iter Thread.join threads;
+  outs
+
+let run_concurrent ~seed ~max_wait_us n =
+  let b =
+    fresh_batcher
+      { Batcher.max_batch = 64; max_wait_us; queue_bound = 1024 }
+  in
+  let outs = submit_coalesced b (List.init n (nth_test_request ~seed)) in
   let stats = Batcher.stats b in
   Batcher.drain b;
   (outs, stats)
@@ -747,6 +752,151 @@ let test_score_heap_flat () =
     Alcotest.failf "live heap grew by %d bytes over 200 score requests"
       (after - before)
 
+(* Score, elbo and sample replies run tape-free: the only taped nodes
+   a request adds are leaves built outside the scope, such as the 8
+   wire values of a chain score request (a taped chain score built
+   3 963 nodes, an elbo 4 067, a sample 112). Grad replies stay
+   taped. *)
+let test_replies_build_no_tape () =
+  let b = fresh_batcher Batcher.default_cfg in
+  Batcher.start b;
+  let growth req =
+    let n0 = Ad.node_count () in
+    (match Batcher.submit b req with
+    | Batcher.O_error (c, m) -> Alcotest.failf "%s: %s" c m
+    | _ -> ());
+    Ad.node_count () - n0
+  in
+  let score i = Serve.nth_request ~model:"chain" ~seed:3 (2 * i)
+  and elbo i = Serve.nth_request ~model:"chain" ~seed:3 ((2 * i) + 1)
+  and sample i = Proto.Sample { model = "chain"; seed = i } in
+  List.iter
+    (fun (kind, req) ->
+      for i = 0 to 19 do
+        let g = growth (req i) in
+        if g > 8 then Alcotest.failf "%s request %d built %d taped nodes" kind i g
+      done)
+    [ ("score", score); ("elbo", elbo); ("sample", sample) ];
+  Alcotest.(check bool) "grad replies stay taped" true
+    (growth (Proto.Grad { model = "chain"; seed = 0 }) > 1000);
+  Batcher.drain b;
+  (* Coalesced rows take the vectorized density, also tape-free. *)
+  let n = 24 in
+  let b = fresh_batcher { Batcher.default_cfg with max_wait_us = 0. } in
+  let n0 = Ad.node_count () in
+  ignore (submit_coalesced b (List.init n (Serve.nth_request ~model:"chain" ~seed:4)));
+  let g = Ad.node_count () - n0 in
+  let stats = Batcher.stats b in
+  Batcher.drain b;
+  if stats.Batcher.s_vectorized_rows = 0 then Alcotest.fail "no rows were vectorized";
+  if g > 8 * n then Alcotest.failf "%d coalesced requests built %d taped nodes" n g
+
+(* A model the vectorized density refuses ([marginal] is not
+   batchable): coalesced rows leave the scope on [Not_batchable] and
+   fall back to scalar rows, and the marginal's ENUM proposal site
+   still enumerates inside the scope, so replies equal the taped
+   density bit for bit. *)
+let test_unbatchable_model_falls_back () =
+  let open Gen.Syntax in
+  let std () = Dist.normal_reparam (Ad.scalar 0.) (Ad.scalar 1.) in
+  let inner =
+    let* x = Gen.sample (std ()) "x" in
+    let* _ = Gen.sample (Dist.flip_enum (Ad.sigmoid x)) "a" in
+    Gen.return ()
+  in
+  let proposal _ =
+    Gen.Packed (Gen.sample (Dist.flip_enum (Ad.scalar 0.3)) "a")
+  in
+  let model =
+    Gen.map ignore
+      (Gen.marginal ~keep:[ "x" ] inner (Gen.importance ~particles:3 proposal))
+  in
+  let b = Batcher.create { Batcher.default_cfg with max_wait_us = 0. } in
+  Batcher.register b ~name:"m" ~model
+    ~guide:(fun _ -> Gen.map ignore (Gen.sample (std ()) "x"))
+    ~store:(Store.create ()) ();
+  let xs = [| 0.3; -0.5; 1.2 |] in
+  let outs =
+    submit_coalesced b
+      (Array.to_list
+         (Array.map
+            (fun x -> Proto.Score { model = "m"; trace = [ ("x", Proto.Scalar x) ] })
+            xs))
+  in
+  let stats = Batcher.stats b in
+  Batcher.drain b;
+  Alcotest.(check int) "one stacked attempt fell back" 1 stats.Batcher.s_fallbacks;
+  Alcotest.(check int) "every row scored scalar" (Array.length xs)
+    stats.Batcher.s_scalar_rows;
+  Array.iteri
+    (fun i x ->
+      let taped =
+        Ad.to_float
+          (Adev.run
+             (Gen.log_density model (Trace.of_list [ ("x", Value.Real (Ad.scalar x)) ]))
+             (Prng.key 0) (fun w -> w))
+      in
+      match outs.(i) with
+      | Batcher.O_value v when bits v = bits taped -> ()
+      | other -> Alcotest.failf "row %d: %s, taped %h" i (outcome_str other) taped)
+    xs;
+  let n0 = Ad.node_count () in
+  ignore (Ad.exp (Ad.scalar 1.));
+  Alcotest.(check bool) "the scope was left" true (Ad.node_count () > n0)
+
+(* Reply bits pinned from the taped implementation, solo batches. *)
+let pinned =
+  [ ("coin",
+     [ 0xc016f53a0c5239dcL; 0xc01af3be4e33a26aL; 0xc01710f70ac70ed6L;
+       0xc01b3b6756cf488cL ],
+     (0x3ff19abeda4cfdb0L, [ 0x3fe21e983662d053L ]),
+     0xc01b8922ef53f1f7L);
+    ("cone",
+     [ 0xc044c2bc6f1b722bL; 0xc04171bc27d34be8L; 0xc019200ab901c9deL;
+       0xbfab069ce66ab880L ],
+     (0xc009d62b00d7e8caL, [ 0xbfefd99f1e47a436L; 0xbfcb164ef4c2d160L ]),
+     0xc042ea177cbfb158L);
+    ("chain",
+     [ 0xc0294614c6bb4507L; 0xc008979e5d0807f6L; 0xc028730ea0e78942L;
+       0xc01088c4e4e1f854L ],
+     ( 0xc01c6c77ffa526f4L,
+       [ 0xbff108306f3b9af2L; 0xbfe03603f200fe64L; 0xbfd1bdc6621a076bL;
+         0xbfc9af0806693214L; 0x3fd8c7598bedc72bL; 0x3fb298099662bedbL;
+         0xbfee075f26319eb8L; 0xbfc800aab317802eL ] ),
+     0xc00a4eaed208f3b4L) ]
+
+let test_pinned_reply_bits () =
+  let b =
+    fresh_batcher { Batcher.max_batch = 1; max_wait_us = 0.; queue_bound = 16 }
+  in
+  Batcher.start b;
+  let check what want got =
+    if got <> want then Alcotest.failf "%s: %Lx, pinned %Lx" what got want
+  in
+  List.iter
+    (fun (model, values, (logq, draws), grad) ->
+      List.iteri
+        (fun i want ->
+          match Batcher.submit b (Serve.nth_request ~model ~seed:11 i) with
+          | Batcher.O_value v -> check (Printf.sprintf "%s nth %d" model i) want (bits v)
+          | other -> Alcotest.failf "%s nth %d: %s" model i (outcome_str other))
+        values;
+      (match Batcher.submit b (Proto.Sample { model; seed = 23 }) with
+      | Batcher.O_sample (trace, q) ->
+        check (model ^ " sample logq") logq (bits q);
+        List.iter2
+          (fun want (addr, wv) ->
+            match wv with
+            | Proto.Scalar f -> check (model ^ " sample " ^ addr) want (bits f)
+            | Proto.Vector _ -> Alcotest.failf "%s: vector draw" addr)
+          draws trace
+      | other -> Alcotest.failf "%s sample: %s" model (outcome_str other));
+      match Batcher.submit b (Proto.Grad { model; seed = 23 }) with
+      | Batcher.O_grad (v, _) -> check (model ^ " grad") grad (bits v)
+      | other -> Alcotest.failf "%s grad: %s" model (outcome_str other))
+    pinned;
+  Batcher.drain b
+
 let suites =
   [ ( "serve-proto",
       [ QCheck_alcotest.to_alcotest proto_roundtrip;
@@ -776,7 +926,13 @@ let suites =
         Alcotest.test_case "fault plan covers admission" `Quick
           test_fault_hook_in_admission;
         Alcotest.test_case "score-only traffic keeps the heap flat" `Quick
-          test_score_heap_flat
+          test_score_heap_flat;
+        Alcotest.test_case "replies build no tape" `Quick
+          test_replies_build_no_tape;
+        Alcotest.test_case "reply bits pinned per built-in model" `Quick
+          test_pinned_reply_bits;
+        Alcotest.test_case "unbatchable model falls back to scalar rows"
+          `Quick test_unbatchable_model_falls_back
       ] );
     ( "serve-daemon",
       [ Alcotest.test_case "handshake, health, score, stats" `Quick

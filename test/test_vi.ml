@@ -416,6 +416,37 @@ let test_cvae_epoch_runs () =
   Alcotest.(check bool) "observed quadrant preserved" true
     (Tensor.approx_equal original copied)
 
+(* Estimates run tape-free ([Adev.estimate], through [Train.eval]);
+   their bits are pinned from the taped implementation. *)
+let test_estimates_keep_bits () =
+  let check what want got =
+    let got = Int64.bits_of_float got in
+    if got <> want then Alcotest.failf "%s: %Lx, pinned %Lx" what got want
+  in
+  List.iter
+    (fun (kind, want) ->
+      let store = Store.create () in
+      Cone.register store (Prng.key 3);
+      ignore
+        (Train.fit ~store ~optim:(Optim.adam ~lr:0.05 ()) ~steps:100
+           ~objective:(fun frame _ -> Cone.objective kind frame)
+           (Prng.key 4));
+      check (Cone.objective_name kind) want
+        (Cone.final_value ~samples:500 store kind (Prng.key 5)))
+    [ (Cone.Diwhvi (5, 5), 0xc010e6e718c45a6fL);
+      (Cone.Iwhvi 3, 0xc015fe55fe25851bL);
+      (Cone.Elbo, 0xc03b10a1e9236ea3L) ];
+  let store = Store.create () in
+  Coin.register store;
+  check "coin final_elbo" 0xc01cb191293de933L (Coin.final_elbo store (Prng.key 9));
+  let store = Store.create () in
+  Vae.register store (Prng.key 1);
+  let images, _ = Data.digit_batch (Prng.key 2) 64 in
+  check "vae eval" 0xc05ece193161f988L
+    (Train.eval ~samples:4 ~store
+       ~objective:(fun frame -> Vae.elbo_per_datum frame images)
+       (Prng.key 3))
+
 let suites =
   [ ( "vi",
       [ Alcotest.test_case "sgd step" `Quick test_sgd_step;
@@ -449,4 +480,6 @@ let suites =
         Alcotest.test_case "grid ours all supported" `Slow
           test_grid_ours_supports_everything;
         Alcotest.test_case "ssvae epoch" `Slow test_ssvae_epoch_runs;
-        Alcotest.test_case "cvae epoch" `Slow test_cvae_epoch_runs ] ) ]
+        Alcotest.test_case "cvae epoch" `Slow test_cvae_epoch_runs;
+        Alcotest.test_case "estimates keep their bits" `Quick
+          test_estimates_keep_bits ] ) ]
