@@ -665,8 +665,10 @@ type json_entry = {
 
 let write_json path ~domains entries =
   let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema_version\": 1,\n  \"domains\": %d,\n  \"entries\": [\n"
-    domains;
+  Printf.fprintf oc
+    "{\n  \"schema_version\": 1,\n  \"domains\": %d,\n  \"kernels\": %S,\n  \
+     \"entries\": [\n"
+    domains (Kernel.isa ());
   let n = List.length entries in
   List.iteri
     (fun i e ->

@@ -635,9 +635,11 @@ let profile_cmd =
           (if remat then ", remat" else "")
     in
     obs_gauges ();
-    if json then print_endline (Obs.report_json ())
+    if json then
+      print_endline (Obs.report_json ~meta:[ ("kernels", Kernel.isa ()) ] ())
     else begin
       Printf.printf "profile: %s, %d steps, seed %d\n" name steps seed;
+      Printf.printf "kernels: %s\n" (Kernel.isa ());
       Obs.report_human Format.std_formatter
     end;
     if trace <> None then begin
@@ -1154,13 +1156,18 @@ let info_cmd =
 (* version *)
 
 let version_cmd =
-  let run () = print_endline Proto.version_string in
+  let run () =
+    print_endline Proto.version_string;
+    Printf.printf "kernels: %s\n" (Kernel.isa ())
+  in
   Cmd.v
     (Cmd.info "version"
        ~doc:
          "Print the build version and the serve wire-schema generation \
           (the same pair exchanged in the $(b,ppvi serve) handshake and \
-          $(b,health) reply, so client/server mismatches fail loudly).")
+          $(b,health) reply, so client/server mismatches fail loudly), \
+          then the matrix-kernel body this CPU runs ($(b,avx2) or \
+          $(b,portable)).")
     Term.(const run $ const ())
 
 (* serve / client *)

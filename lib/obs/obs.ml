@@ -635,7 +635,7 @@ let report_human ppf =
       es
   end
 
-let report_json () =
+let report_json ?(meta = []) () =
   let spans =
     Json.Arr
       (List.map
@@ -679,9 +679,11 @@ let report_json () =
   in
   Json.to_string
     (Json.Obj
-       [ ("schema_version", Json.Num 1.); ("spans", spans);
-         ("counters", counters_j); ("gauges", gauges_j);
-         ("histograms", hists); ("estimators", ests) ])
+       (("schema_version", Json.Num 1.)
+        :: List.map (fun (k, v) -> (k, Json.Str v)) meta
+        @ [ ("spans", spans); ("counters", counters_j);
+            ("gauges", gauges_j); ("histograms", hists);
+            ("estimators", ests) ]))
 
 let flush () =
   match !sink with

@@ -191,8 +191,10 @@ val hist_rows : unit -> hist_row list
 val report_human : Format.formatter -> unit
 (** Print the span, metric, and estimator tables. *)
 
-val report_json : unit -> string
-(** The same data as one JSON object (suitable for [--json]). *)
+val report_json : ?meta:(string * string) list -> unit -> string
+(** The same data as one JSON object (suitable for [--json]). [meta]
+    adds string fields after ["schema_version"], such as the kernel
+    body that produced the timings. *)
 
 val flush : unit -> unit
 (** Write a snapshot of counters, gauges, histograms, and estimator

@@ -432,20 +432,37 @@ let broadcast_copy_into src sst out_shape dst =
 
 (* Matrix products.
 
-   The per-block loop bodies live in C (kernel_stubs.c): the inner
-   saxpy loops update independent output elements, so gcc may vectorize
-   them without reordering any single element's accumulation chain —
-   OCaml's native compiler never vectorizes. The C bodies replicate the
-   historical OCaml loops' accumulation order and zero-skip semantics
-   exactly, and are compiled with -ffp-contract=off (a fused
-   multiply-add rounds differently), so results remain bit-for-bit
-   identical to the naive references in test/test_kernel.ml. Block
-   partitioning stays on the OCaml side, through the same [Parallel]
-   pool as before. *)
+   The per-block loop bodies live in C (kernel_stubs.c, whose header
+   states the contract). Every output element sums the same terms in
+   the same order as the naive references in test/test_kernel.ml (the
+   reduction index ascending, from the zeroed output), zero left-operand
+   entries are skipped exactly where those references skip them, and
+   nothing is fused into a multiply-add, so every result that is not a
+   NaN keeps its bits (a NaN may carry another payload).
+
+   The three products a training step spends its time in ([matmul],
+   [matmul_t]'s saxpy form, [t_matmul]) have two C bodies: the portable
+   saxpy loops, and on x86-64 an AVX2 body that keeps 4 x 8 tiles of
+   the output in registers while the reduction runs. [active] picks one
+   once per process from the CPU's feature bits; there is no knob. On
+   the 15 products of a batch-256 VAE step, one domain, the AVX2 body
+   takes 1.5-2.2 ms where the portable one takes 4.4-6.4 ms and the
+   same loops compiled for AVX2 3.0-4.1 ms (EXPERIMENTS.md). Block
+   partitioning stays here, through the same [Parallel] pool as before,
+   and no tile crosses a block, so every domain count keeps the bits. *)
+
+type body = Portable | Avx2
+
+external avx2_supported : unit -> bool = "ppvi_kernel_avx2"
+
+let active = if avx2_supported () then Avx2 else Portable
+let bodies = if active = Avx2 then [ Portable; Avx2 ] else [ Portable ]
+let body_name = function Portable -> "portable" | Avx2 -> "avx2"
+let isa () = body_name active
 
 external matmul_block :
   float array -> float array -> float array ->
-  int -> int -> int -> int -> int -> int -> int -> unit
+  int -> int -> int -> int -> int -> int -> body -> unit
   = "ppvi_matmul_block_bc" "ppvi_matmul_block"
 [@@noalloc]
 
@@ -462,13 +479,13 @@ external transpose_into :
 
 external matmul_nt_block :
   float array -> float array -> float array ->
-  int -> int -> int -> int -> int -> int -> unit
+  int -> int -> int -> int -> int -> int -> body -> unit
   = "ppvi_matmul_nt_block_bc" "ppvi_matmul_nt_block"
 [@@noalloc]
 
 external t_matmul_block :
   float array -> float array -> float array ->
-  int -> int -> int -> int -> int -> unit
+  int -> int -> int -> int -> int -> body -> unit
   = "ppvi_t_matmul_block_bc" "ppvi_t_matmul_block"
 [@@noalloc]
 
@@ -489,7 +506,7 @@ external vecmat_block :
   = "ppvi_vecmat_block_bc" "ppvi_vecmat_block"
 [@@noalloc]
 
-let matmul ~m ~k ~n a b c =
+let matmul_with body ~m ~k ~n a b c =
   let nb = row_blocks m (m * k * n) in
   Parallel.run ~blocks:nb (fun bi ->
       let lo, hi = row_range m nb bi in
@@ -497,9 +514,11 @@ let matmul ~m ~k ~n a b c =
       while !jt < n do
         let jlo = !jt in
         let jhi = Stdlib.min n (jlo + col_tile) in
-        matmul_block a b c m k n lo hi jlo jhi;
+        matmul_block a b c k n lo hi jlo jhi body;
         jt := jhi
       done)
+
+let matmul ~m ~k ~n a b c = matmul_with active ~m ~k ~n a b c
 
 (* Above this threshold, [matmul_t] pays one B^T materialization to run
    in vectorizable saxpy form; the per-element term order (p ascending,
@@ -508,7 +527,7 @@ let matmul ~m ~k ~n a b c =
    amortizing over too few output elements. *)
 let nt_min = 1 lsl 14
 
-let matmul_t ~m ~k ~n a b c =
+let matmul_t_with body ~m ~k ~n a b c =
   if m * k * n < nt_min then
     matmul_t_block a b c k n 0 m
   else begin
@@ -521,17 +540,21 @@ let matmul_t ~m ~k ~n a b c =
         while !jt < n do
           let jlo = !jt in
           let jhi = Stdlib.min n (jlo + col_tile) in
-          matmul_nt_block a bt c k n lo hi jlo jhi;
+          matmul_nt_block a bt c k n lo hi jlo jhi body;
           jt := jhi
         done)
   end
 
-let t_matmul ~m ~k ~n a b c =
+let matmul_t ~m ~k ~n a b c = matmul_t_with active ~m ~k ~n a b c
+
+let t_matmul_with body ~m ~k ~n a b c =
   (* Output is k x n: block over the k output rows. *)
   let nb = row_blocks k (m * k * n) in
   Parallel.run ~blocks:nb (fun bi ->
       let plo, phi = row_range k nb bi in
-      t_matmul_block a b c m k n plo phi)
+      t_matmul_block a b c m k n plo phi body)
+
+let t_matmul ~m ~k ~n a b c = t_matmul_with active ~m ~k ~n a b c
 
 let matvec ~m ~k a x y =
   let nb = row_blocks m (m * k) in

@@ -9,8 +9,9 @@
 
     Matrix kernels keep the reference semantics of the original naive
     implementations, including the skip of zero left-operand elements
-    (which affects [nan]/[infinity] propagation), so the rewrite is
-    observationally identical on every input. *)
+    (which affects [nan]/[infinity] propagation), so every output that
+    is not a NaN has the reference's bits on every input (a NaN output
+    may carry another payload). *)
 
 (** {1 Elementwise} *)
 
@@ -93,7 +94,30 @@ val broadcast_copy_into :
     broadcast to [out_shape] into [dst] without touching a second
     operand. *)
 
-(** {1 Matrix products} *)
+(** {1 Matrix products}
+
+    [matmul], [matmul_t] and [t_matmul] run on one of two C bodies with
+    the same bits: every output element that is not a NaN is equal to
+    the naive reference's, signed zeros and infinities included (a NaN
+    stays a NaN, its payload may differ). The body is chosen once per
+    process from the CPU's feature bits. *)
+
+type body =
+  | Portable  (** The saxpy loops, on every target. *)
+  | Avx2  (** Register tiles, on x86-64 CPUs with AVX2. *)
+
+val active : body
+(** The body this process runs: [Avx2] when the CPU has AVX2. *)
+
+val bodies : body list
+(** The bodies this CPU can run: [Portable], then [Avx2] if it is
+    available. *)
+
+val body_name : body -> string
+(** ["portable"] or ["avx2"]. *)
+
+val isa : unit -> string
+(** [body_name active], for version and benchmark reports. *)
 
 val matmul :
   m:int -> k:int -> n:int -> float array -> float array -> float array -> unit
@@ -110,6 +134,20 @@ val t_matmul :
   m:int -> k:int -> n:int -> float array -> float array -> float array -> unit
 (** [t_matmul ~m ~k ~n a b c]: [c] ([k*n], zeroed by the caller) gets
     [A^T * B] where [A] is [m x k] and [B] is [m x n]. *)
+
+val matmul_with :
+  body -> m:int -> k:int -> n:int ->
+  float array -> float array -> float array -> unit
+
+val matmul_t_with :
+  body -> m:int -> k:int -> n:int ->
+  float array -> float array -> float array -> unit
+
+val t_matmul_with :
+  body -> m:int -> k:int -> n:int ->
+  float array -> float array -> float array -> unit
+(** The three products on a given body, for tests that compare
+    bodies. The body must be one of {!bodies}. *)
 
 val matvec : m:int -> k:int -> float array -> float array -> float array -> unit
 (** [matvec ~m ~k a x y]: [y] ([m]) gets [A (m x k) * x (k)]. *)

@@ -243,6 +243,28 @@ let map2_ f dst src =
   require_same_shape "map2_" dst src;
   Kernel.map2_into f dst.data src.data dst.data
 
+(* One loop and no closure, so the float temporaries stay unboxed and
+   the step allocates only its result. The new parameter gets its own
+   buffer (not [alloc]): the store keeps it across steps. *)
+let adam_update ~beta1 ~beta2 ~cm ~cv ~eps ~slr ~m ~v ~g x =
+  require_same_shape "adam_update" m g;
+  require_same_shape "adam_update" v g;
+  require_same_shape "adam_update" x g;
+  let c1 = 1. -. beta1 and c2 = 1. -. beta2 in
+  let md = m.data and vd = v.data and gd = g.data and xd = x.data in
+  let out = Array.make (Array.length xd) 0. in
+  for i = 0 to Array.length out - 1 do
+    let gi = Array.unsafe_get gd i in
+    let mi = (beta1 *. Array.unsafe_get md i) +. (c1 *. gi) in
+    let vi = (beta2 *. Array.unsafe_get vd i) +. (c2 *. (gi *. gi)) in
+    Array.unsafe_set md i mi;
+    Array.unsafe_set vd i vi;
+    Array.unsafe_set out i
+      (Array.unsafe_get xd i
+      +. (slr *. ((cm *. mi) /. (Float.sqrt (cv *. vi) +. eps))))
+  done;
+  { x with data = out }
+
 (* Elementwise *)
 
 let map f t =

@@ -102,6 +102,16 @@ val map2_ : (float -> float -> float) -> t -> t -> unit
 (** [map2_ f dst src] sets [dst_i <- f dst_i src_i]. Shapes must be
     equal. @raise Shape_error otherwise. *)
 
+val adam_update :
+  beta1:float -> beta2:float -> cm:float -> cv:float -> eps:float ->
+  slr:float -> m:t -> v:t -> g:t -> t -> t
+(** [adam_update ... ~m ~v ~g x] is one Adam step in one pass. With
+    [c1 = 1 - beta1] and [c2 = 1 - beta2], per element and in this
+    order: [m <- beta1 * m + c1 * g] and [v <- beta2 * v + c2 * (g * g)]
+    in place, then the result is the fresh tensor
+    [x + slr * ((cm * m) / (sqrt (cv * v) + eps))]. Shapes must be
+    equal. @raise Shape_error otherwise. *)
+
 (** {1 Elementwise maps} *)
 
 val map : (float -> float) -> t -> t

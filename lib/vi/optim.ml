@@ -79,23 +79,15 @@ let step ?clip_norm ?(on_skip = fun _ _ -> ()) t direction store grads =
         let s = state_for t name (Tensor.shape g) in
         s.t <- s.t + 1;
         (* Moments are updated in place (the state owns them; snapshots
-           deep-copy) and the bias-corrected update is fused into one
-           map2 — the per-element expressions match the former
-           scale/add/mul chain operation for operation, so every result
-           bit is unchanged. *)
-        let c1 = 1. -. beta1 and c2 = 1. -. beta2 in
-        Tensor.map2_ (fun mi gi -> (beta1 *. mi) +. (c1 *. gi)) s.m g;
-        Tensor.map2_ (fun vi gi -> (beta2 *. vi) +. (c2 *. (gi *. gi))) s.v g;
+           deep-copy), and the parameter is a fresh tensor. One pass per
+           parameter, with the per-element expressions of a
+           scale/add/mul chain operation for operation, so the bits are
+           those of the textbook update. *)
         let cm = 1. /. (1. -. (beta1 ** float_of_int s.t)) in
         let cv = 1. /. (1. -. (beta2 ** float_of_int s.t)) in
-        let update =
-          Tensor.map2
-            (fun mi vi -> (cm *. mi) /. (Float.sqrt (cv *. vi) +. eps))
-            s.m s.v
-        in
-        let slr = sign *. lr in
         Store.set store name
-          (Tensor.map2 (fun xi ui -> xi +. (slr *. ui)) x update))
+          (Tensor.adam_update ~beta1 ~beta2 ~cm ~cv ~eps ~slr:(sign *. lr)
+             ~m:s.m ~v:s.v ~g x))
     finite
 
 let reset t =

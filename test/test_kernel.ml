@@ -165,6 +165,153 @@ let prop_map2_matches_ref =
       && Tensor.equal (Tensor.mul a b) (ref_map2 ( *. ) a b))
 
 (* ------------------------------------------------------------------ *)
+(* Both kernel bodies at tile scale. [Tensor.equal] is structural [=]:
+   -0.0 equals 0.0 and a NaN never equals itself, so these compare Int64
+   bits. A non-NaN output must keep the reference's bits; where the
+   reference has a NaN the body must too (its payload may differ). *)
+
+let bits_match want got =
+  Array.length want = Array.length got
+  && Array.for_all2
+       (fun w g ->
+         if Float.is_nan w then Float.is_nan g
+         else Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float g))
+       want got
+
+(* Raw-array references: A * B and A^T * B skip zero left-operand
+   entries, A * B^T (B given as [n x k]) does not. *)
+let raw_matmul ~m ~k ~n a b =
+  let c = Array.make (m * n) 0. in
+  for i = 0 to m - 1 do
+    for p = 0 to k - 1 do
+      let aip = a.((i * k) + p) in
+      if aip <> 0. then
+        for j = 0 to n - 1 do
+          c.((i * n) + j) <- c.((i * n) + j) +. (aip *. b.((p * n) + j))
+        done
+    done
+  done;
+  c
+
+let raw_matmul_t ~m ~k ~n a b =
+  Array.init (m * n) (fun ij ->
+      let i = ij / n and j = ij mod n in
+      let acc = ref 0. in
+      for p = 0 to k - 1 do
+        acc := !acc +. (a.((i * k) + p) *. b.((j * k) + p))
+      done;
+      !acc)
+
+let raw_t_matmul ~m ~k ~n a b =
+  let c = Array.make (k * n) 0. in
+  for i = 0 to m - 1 do
+    for p = 0 to k - 1 do
+      let aip = a.((i * k) + p) in
+      if aip <> 0. then
+        for j = 0 to n - 1 do
+          c.((p * n) + j) <- c.((p * n) + j) +. (aip *. b.((i * n) + j))
+        done
+    done
+  done;
+  c
+
+(* Every product on every body this CPU runs; [a] is [m x k], [b] is
+   [k x n] for A * B and [n x k] for A * B^T, [g] is [m x n]. *)
+let bodies_match ~m ~k ~n a b bt g =
+  List.for_all
+    (fun body ->
+      let run f len =
+        let c = Array.make len 0. in
+        f c;
+        c
+      in
+      bits_match (raw_matmul ~m ~k ~n a b)
+        (run (Kernel.matmul_with body ~m ~k ~n a b) (m * n))
+      && bits_match (raw_matmul_t ~m ~k ~n a bt)
+           (run (Kernel.matmul_t_with body ~m ~k ~n a bt) (m * n))
+      && bits_match (raw_t_matmul ~m ~k ~n a g)
+           (run (Kernel.t_matmul_with body ~m ~k ~n a g) (k * n)))
+    Kernel.bodies
+
+(* Dimensions that straddle the 4 x 8 tile edges, plus the VAE's. At
+   most one dimension is large, so a case stays under 300k terms. *)
+let small_dim = QCheck.Gen.oneofl [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 12; 16; 17; 31; 32; 33 ]
+let large_dim = QCheck.Gen.oneofl [ 64; 144; 256 ]
+
+let tile_dims_gen =
+  QCheck.Gen.(
+    small_dim >>= fun d1 ->
+    small_dim >>= fun d2 ->
+    small_dim >>= fun d3 ->
+    large_dim >>= fun big ->
+    oneofl [ (d1, d2, d3); (big, d1, d2); (d1, big, d2); (d1, d2, big) ])
+
+(* Signed zeros and subnormals among ordinary values; [special] adds
+   infinities and NaNs. A case draws either kind: with infinities in
+   every case, a 256-term sum would almost never stay finite, and the
+   term order would go unchecked. *)
+let finite_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, return 0.); (2, return (-0.)); (1, return 4.9e-324);
+        (1, return (-2.2e-310)); (1, float_range (-1e-300) 1e-300);
+        (30, float_range (-10.) 10.) ])
+
+let special_gen =
+  QCheck.Gen.(
+    frequency
+      [ (1, return infinity); (1, return neg_infinity); (1, return Float.nan);
+        (20, finite_gen) ])
+
+(* A sprite batch: 0/1 entries, about 82% zeros. *)
+let binary_gen =
+  QCheck.Gen.(map (fun u -> if u < 0.82 then 0. else 1.) (float_bound_exclusive 1.))
+
+let arb_tile_case =
+  QCheck.make
+    ~print:(fun ((m, k, n), _, _, _, _) -> Printf.sprintf "m=%d k=%d n=%d" m k n)
+    QCheck.Gen.(
+      tile_dims_gen >>= fun (m, k, n) ->
+      bool >>= fun special ->
+      bool >>= fun binary ->
+      let vals = if special then special_gen else finite_gen in
+      array_size (return (m * k)) (if binary then binary_gen else vals)
+      >>= fun a ->
+      array_size (return (k * n)) vals >>= fun b ->
+      array_size (return (n * k)) vals >>= fun bt ->
+      array_size (return (m * n)) vals >|= fun g ->
+      ((m, k, n), a, b, bt, g))
+
+let prop_bodies_match_refs =
+  QCheck.Test.make ~name:"kernel bodies keep reference bits at tile scale"
+    ~count:150 arb_tile_case
+    (fun ((m, k, n), a, b, bt, g) -> bodies_match ~m ~k ~n a b bt g)
+
+(* The 15 products of a batch-256 VAE step, on a sprite-batch image
+   operand and dense activations. *)
+let vae_layers = [ (144, 64); (64, 10); (64, 10); (10, 64); (64, 144) ]
+
+let test_vae_shapes_bodies () =
+  let st = Random.State.make [| 22 |] in
+  let dense len = Array.init len (fun _ -> Random.State.float st 2. -. 1.) in
+  List.iteri
+    (fun l (k, n) ->
+      let m = 256 in
+      let a =
+        if l = 0 then
+          Array.init (m * k) (fun _ ->
+              if Random.State.float st 1. < 0.82 then 0. else 1.)
+        else dense (m * k)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "layer %d (%d -> %d) on %s" l k n
+           (String.concat "," (List.map Kernel.body_name Kernel.bodies)))
+        true
+        (bodies_match ~m ~k ~n a (dense (k * n)) (dense (n * k))
+           (dense (m * n))))
+    vae_layers
+
+(* ------------------------------------------------------------------ *)
 (* Determinism across domain counts: the same inputs must produce the
    same bits with 1 domain (inline) and with a real worker pool, for
    sizes on both sides of the fan-out thresholds. *)
@@ -182,7 +329,22 @@ let test_parallel_determinism () =
     let big_a = det_mat [| 256; 200 |] 3 and big_b = det_mat [| 200; 64 |] 4 in
     let big_e = det_mat [| 300; 300 |] 5 in
     let bias = det_mat [| 300 |] 6 in
-    [ Tensor.matmul small_a small_b;
+    (* A VAE layer at batch 256 on a sprite-like image operand, and
+       tile-straddling shapes. *)
+    let images =
+      Tensor.map (fun x -> if x > 0.6 then 1. else 0.) (det_mat [| 256; 144 |] 10)
+    in
+    let w = det_mat [| 144; 64 |] 11 and g = det_mat [| 256; 64 |] 12 in
+    let odd_a = det_mat [| 33; 31 |] 13 and odd_b = det_mat [| 31; 17 |] 14 in
+    [ Tensor.matmul images w;
+      Tensor.matmul_t g w;
+      Tensor.t_matmul images g;
+      Tensor.matmul g (Tensor.transpose w);
+      Tensor.t_matmul g (det_mat [| 256; 10 |] 15);
+      Tensor.matmul odd_a odd_b;
+      Tensor.matmul_t odd_a (Tensor.transpose odd_b);
+      Tensor.t_matmul odd_a (det_mat [| 33; 9 |] 16);
+      Tensor.matmul small_a small_b;
       Tensor.matmul big_a big_b;
       Tensor.matmul_t big_a (Tensor.transpose big_b);
       Tensor.t_matmul big_a (det_mat [| 256; 32 |] 7);
@@ -204,7 +366,11 @@ let test_parallel_determinism () =
       Alcotest.(check int) "domain count" d (Parallel.domains ());
       List.iteri
         (fun i (a, b) ->
-          exact_eq (Printf.sprintf "domains=%d result %d" d i) a b)
+          Alcotest.(check bool)
+            (Printf.sprintf "domains=%d result %d" d i)
+            true
+            (bits_match (Tensor.to_array a) (Tensor.to_array b)
+            && Tensor.shape a = Tensor.shape b))
         (List.combine seq par))
     [ 2; 4 ];
   Parallel.set_domains 1
@@ -311,10 +477,84 @@ let test_optim_snapshot_isolated () =
   Optim.step optim Optim.Descend store [ ("w", g2) ];
   exact_eq "second replay matches too" w_after (Store.tensor store "w")
 
+(* The map2 chain [Optim.step]'s Adam ran before its one-pass loop,
+   kept as the reference the loop must match bit for bit. *)
+module Ref_adam = struct
+  type state = { m : Tensor.t; v : Tensor.t; mutable t : int }
+
+  let step ~lr ~beta1 ~beta2 ~eps ~sign st x g =
+    st.t <- st.t + 1;
+    let c1 = 1. -. beta1 and c2 = 1. -. beta2 in
+    Tensor.map2_ (fun mi gi -> (beta1 *. mi) +. (c1 *. gi)) st.m g;
+    Tensor.map2_ (fun vi gi -> (beta2 *. vi) +. (c2 *. (gi *. gi))) st.v g;
+    let cm = 1. /. (1. -. (beta1 ** float_of_int st.t)) in
+    let cv = 1. /. (1. -. (beta2 ** float_of_int st.t)) in
+    let update =
+      Tensor.map2
+        (fun mi vi -> (cm *. mi) /. (Float.sqrt (cv *. vi) +. eps))
+        st.m st.v
+    in
+    let slr = sign *. lr in
+    Tensor.map2 (fun xi ui -> xi +. (slr *. ui)) x update
+end
+
+(* Random parameters, moments and step counter (imported as optimizer
+   state), then several steps of random gradients in either direction:
+   parameters after every step and the final moments must equal the
+   reference's Int64 bits. *)
+let prop_adam_one_pass =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun n ->
+      let vec lo hi = array_size (return n) (float_range lo hi) in
+      vec (-5.) 5. >>= fun x ->
+      vec (-1.) 1. >>= fun m ->
+      vec 0. 2. >>= fun v ->
+      int_range 0 500 >>= fun t0 ->
+      bool >>= fun ascend ->
+      float_range 1e-4 0.5 >>= fun lr ->
+      list_size (int_range 1 12) (vec (-3.) 3.) >|= fun gs ->
+      (n, x, m, v, t0, ascend, lr, gs))
+  in
+  QCheck.Test.make ~name:"adam one pass == map2 chain (Int64)" ~count:200
+    (QCheck.make gen) (fun (n, x, m, v, t0, ascend, lr, gs) ->
+      let beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
+      let shape = [| n |] in
+      let optim = Optim.adam ~lr () in
+      Optim.import_state optim
+        [ ("m.w", Tensor.of_array shape m); ("v.w", Tensor.of_array shape v);
+          ("t.w", Tensor.scalar (float_of_int t0)) ];
+      let store = Store.create () in
+      Store.ensure store "w" (fun () -> Tensor.of_array shape x);
+      let st =
+        { Ref_adam.m = Tensor.of_array shape m; v = Tensor.of_array shape v;
+          t = t0 }
+      in
+      let sign = if ascend then 1. else -1. in
+      let direction = if ascend then Optim.Ascend else Optim.Descend in
+      let same a b = bits_match (Tensor.to_array a) (Tensor.to_array b) in
+      let xr = ref (Tensor.of_array shape x) in
+      let params_ok =
+        List.for_all
+          (fun g ->
+            let g = Tensor.of_array shape g in
+            Optim.step optim direction store [ ("w", g) ];
+            xr := Ref_adam.step ~lr ~beta1 ~beta2 ~eps ~sign st !xr g;
+            same !xr (Store.tensor store "w"))
+          gs
+      in
+      let state = Optim.export_state optim in
+      params_ok
+      && same st.m (List.assoc "m.w" state)
+      && same st.v (List.assoc "v.w" state)
+      && Tensor.to_scalar (List.assoc "t.w" state)
+         = float_of_int (t0 + List.length gs))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matmul_matches_ref; prop_matvec_matches_ref;
-      prop_matmul_t_matches_transpose; prop_map2_matches_ref ]
+      prop_matmul_t_matches_transpose; prop_map2_matches_ref;
+      prop_bodies_match_refs; prop_adam_one_pass ]
 
 let suites =
   [ ( "kernel",
@@ -326,5 +566,7 @@ let suites =
         Alcotest.test_case "ad diamond" `Quick test_ad_diamond;
         Alcotest.test_case "deep tape" `Quick test_deep_tape;
         Alcotest.test_case "optim snapshot isolation" `Quick
-          test_optim_snapshot_isolated ]
+          test_optim_snapshot_isolated;
+        Alcotest.test_case "kernel bodies on VAE shapes" `Quick
+          test_vae_shapes_bodies ]
       @ qcheck_cases ) ]

@@ -447,6 +447,29 @@ let test_estimates_keep_bits () =
        ~objective:(fun frame -> Vae.elbo_per_datum frame images)
        (Prng.key 3))
 
+(* A whole training run, as `ppvi vae --steps 30 --seed 3 --csv`: the
+   matrix kernels and Adam on every step. The digest folds the Int64
+   bits of the 30 objectives and of every final parameter; its pin was
+   taken with the scalar-loop kernels and the map2 Adam. *)
+let test_vae_training_keeps_bits () =
+  let store, reports = Vae.train ~steps:30 ~batch:64 (Prng.key 3) in
+  Alcotest.(check int) "reports" 30 (List.length reports);
+  let values =
+    List.map (fun r -> r.Train.objective) reports
+    @ List.concat_map
+        (fun name -> Array.to_list (Tensor.to_array (Store.tensor store name)))
+        (Store.names store)
+  in
+  let digest =
+    List.fold_left
+      (fun h x -> Int64.(add (mul h 1099511628211L) (bits_of_float x)))
+      0xcbf29ce484222325L values
+  in
+  let pin = 0x717614fdb7a7b4c4L in
+  if digest <> pin then
+    Alcotest.failf "digest %Lx over %d values, pinned %Lx" digest
+      (List.length values) pin
+
 let suites =
   [ ( "vi",
       [ Alcotest.test_case "sgd step" `Quick test_sgd_step;
@@ -482,4 +505,6 @@ let suites =
         Alcotest.test_case "ssvae epoch" `Slow test_ssvae_epoch_runs;
         Alcotest.test_case "cvae epoch" `Slow test_cvae_epoch_runs;
         Alcotest.test_case "estimates keep their bits" `Quick
-          test_estimates_keep_bits ] ) ]
+          test_estimates_keep_bits;
+        Alcotest.test_case "vae training keeps its bits" `Quick
+          test_vae_training_keeps_bits ] ) ]
