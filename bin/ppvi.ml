@@ -1271,9 +1271,11 @@ let serve_cmd =
           value & opt float 200.
           & info [ "max-wait-us" ] ~docv:"US"
               ~doc:
-                "How long the executor lingers for more requests before \
-                 running a non-full batch, in microseconds. 0 disables \
-                 coalescing latency entirely.")
+                "The longest a batch waits, in microseconds, for a request \
+                 that an open connection can still send. A batch runs as \
+                 soon as every open connection has a request queued (at \
+                 once with one connection) or $(b,--max-batch) are queued. \
+                 0 never waits.")
       $ Arg.(
           value & opt positive_int_conv 256
           & info [ "queue-bound" ] ~docv:"N"

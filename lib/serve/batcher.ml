@@ -42,6 +42,14 @@ and cell = {
   mutable c_out : outcome option;
 }
 
+(* The executor thread and the self-pipe it lingers on; both ends stay
+   open until [drain] has joined the thread. *)
+type executor = {
+  thread : Thread.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+}
+
 type t = {
   cfg : cfg;
   lock : Mutex.t;
@@ -49,9 +57,12 @@ type t = {
   queue : job Queue.t;
   mutable is_draining : bool;
   mutable paused : bool;
-  mutable exec : Thread.t option;
+  mutable exec : executor option;
   models : (string, model_entry) Hashtbl.t;
   t0 : float;
+  (* guarded by [lock] *)
+  mutable clients : int;  (* callers inside [with_client] *)
+  mutable lingering : bool;
   (* stats, guarded by [lock] *)
   mutable n_requests : int;
   mutable n_replies : int;
@@ -67,6 +78,8 @@ type t = {
   mutable max_batch_seen : int;
   mutable max_queue_seen : int;
   mutable n_reloads : int;
+  mutable n_lingered : int;
+  mutable linger_s : float;
 }
 
 let create cfg =
@@ -80,6 +93,8 @@ let create cfg =
     exec = None;
     models = Hashtbl.create 8;
     t0 = Unix.gettimeofday ();
+    clients = 0;
+    lingering = false;
     n_requests = 0;
     n_replies = 0;
     n_overloaded = 0;
@@ -94,6 +109,8 @@ let create cfg =
     max_batch_seen = 0;
     max_queue_seen = 0;
     n_reloads = 0;
+    n_lingered = 0;
+    linger_s = 0.;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -464,7 +481,58 @@ let job_expired now job =
   | None -> false
   | Some d -> (now -. job.j_enq) *. 1000. > d
 
-let exec_loop t =
+(* Company can come while some declared client has no request queued:
+   each one waits for its reply before it sends again, so a queue as
+   long as the client count (or [max_batch]) gains no more rows. Called
+   with [t.lock] held. *)
+let company_can_come t =
+  let queued = Queue.length t.queue in
+  queued < t.clients && queued < t.cfg.max_batch && not t.is_draining
+
+(* Wakes a lingering executor: an arrival or a departing client may
+   end its wait. Called with [t.lock] held. *)
+let poke t =
+  match t.exec with
+  | Some e when t.lingering -> (
+    try ignore (Unix.single_write_substring e.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> () (* a full pipe wakes it anyway *))
+  | _ -> ()
+
+let rec drain_pipe fd =
+  match Unix.read fd (Bytes.create 64) 0 64 with
+  | 64 -> drain_pipe fd
+  | _ -> ()
+  | exception Unix.Unix_error _ -> ()
+
+(* Lingers for company, at most [max_wait_us]. OCaml's Condition has no
+   timed wait, so the executor sleeps in [select] on its self-pipe with
+   the rest of the window as the timeout, and {!poke} wakes it; it
+   sleeps only while company can still come. Returns the seconds spent
+   when it lingered. Called with [t.lock] held, and returns with it
+   held. *)
+let linger t wake_r =
+  if t.cfg.max_wait_us > 0. && company_can_come t then begin
+    let t0 = Unix.gettimeofday () in
+    let deadline = t0 +. (t.cfg.max_wait_us *. 1e-6) in
+    t.lingering <- true;
+    let rec wait now =
+      Mutex.unlock t.lock;
+      (try ignore (Unix.select [ wake_r ] [] [] (deadline -. now))
+       with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      drain_pipe wake_r;
+      Mutex.lock t.lock;
+      let now = Unix.gettimeofday () in
+      if company_can_come t && now < deadline then wait now else now -. t0
+    in
+    let waited = wait t0 in
+    t.lingering <- false;
+    t.n_lingered <- t.n_lingered + 1;
+    t.linger_s <- t.linger_s +. waited;
+    Some waited
+  end
+  else None
+
+let exec_loop t wake_r =
   let batch_no = ref 0 in
   let running = ref true in
   while !running do
@@ -480,27 +548,8 @@ let exec_loop t =
       running := false
     end
     else begin
-      (* Linger for company: new arrivals within the window join this
-         batch. OCaml's Condition has no timed wait, so poll on a
-         short sleep; the window is a few hundred microseconds. *)
-      (if t.cfg.max_wait_us > 0. then begin
-         let deadline =
-           Unix.gettimeofday () +. (t.cfg.max_wait_us *. 1e-6)
-         in
-         let rec linger () =
-           if
-             Queue.length t.queue < t.cfg.max_batch
-             && (not t.is_draining)
-             && Unix.gettimeofday () < deadline
-           then begin
-             Mutex.unlock t.lock;
-             Thread.delay 2e-5;
-             Mutex.lock t.lock;
-             linger ()
-           end
-         in
-         linger ()
-       end);
+      let lingered = linger t wake_r in
+      let depth = Queue.length t.queue in
       let batch = take_batch t in
       let size = List.length batch in
       t.n_batches <- t.n_batches + 1;
@@ -508,9 +557,9 @@ let exec_loop t =
       if size > 1 then t.n_coalesced <- t.n_coalesced + (size - 1);
       if size > t.max_batch_seen then t.max_batch_seen <- size;
       Mutex.unlock t.lock;
+      Option.iter (fun s -> Obs.hist "serve/linger_us" (s *. 1e6)) lingered;
       Obs.hist "serve/batch_size" (float_of_int size);
-      Obs.hist "serve/queue_depth"
-        (float_of_int (Queue.length t.queue + size));
+      Obs.hist "serve/queue_depth" (float_of_int depth);
       incr batch_no;
       (* Expired jobs answer [deadline] instead of being executed. *)
       let now = Unix.gettimeofday () in
@@ -538,8 +587,11 @@ let start t =
   (match t.exec with
   | Some _ -> Mutex.unlock t.lock
   | None ->
-    let th = Thread.create exec_loop t in
-    t.exec <- Some th;
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_r;
+    Unix.set_nonblock wake_w;
+    let thread = Thread.create (fun () -> exec_loop t wake_r) () in
+    t.exec <- Some { thread; wake_r; wake_w };
     Mutex.unlock t.lock)
 
 let drain t =
@@ -547,12 +599,16 @@ let drain t =
   t.is_draining <- true;
   t.paused <- false;
   Condition.broadcast t.nonempty;
-  let th = t.exec in
-  Mutex.unlock t.lock;
-  Option.iter Thread.join th;
-  Mutex.lock t.lock;
+  poke t;
+  let exec = t.exec in
   t.exec <- None;
-  Mutex.unlock t.lock
+  Mutex.unlock t.lock;
+  Option.iter
+    (fun e ->
+      Thread.join e.thread;
+      Unix.close e.wake_r;
+      Unix.close e.wake_w)
+    exec
 
 let draining t =
   Mutex.lock t.lock;
@@ -570,6 +626,16 @@ let resume t =
   t.paused <- false;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.lock
+
+let with_client t f =
+  Mutex.lock t.lock;
+  t.clients <- t.clients + 1;
+  Mutex.unlock t.lock;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock t.lock;
+      t.clients <- t.clients - 1;
+      poke t;
+      Mutex.unlock t.lock)
 
 (* ------------------------------------------------------------------ *)
 (* Submission *)
@@ -634,6 +700,7 @@ let submit t ?deadline_ms req =
         let depth = Queue.length t.queue in
         if depth > t.max_queue_seen then t.max_queue_seen <- depth;
         Condition.signal t.nonempty;
+        poke t;
         Mutex.unlock t.lock;
         Obs.incr "serve/requests";
         finish op (await cell)
@@ -679,6 +746,9 @@ type stats = {
   s_max_queue : int;
   s_reloads : int;
   s_draining : bool;
+  s_clients : int;
+  s_lingered : int;
+  s_linger_ms : float;
 }
 
 let stats t =
@@ -702,6 +772,9 @@ let stats t =
       s_max_queue = t.max_queue_seen;
       s_reloads = t.n_reloads;
       s_draining = t.is_draining;
+      s_clients = t.clients;
+      s_lingered = t.n_lingered;
+      s_linger_ms = 1000. *. t.linger_s;
     }
   in
   Mutex.unlock t.lock;
@@ -754,5 +827,8 @@ let stats_json t =
       ("max_queue", int s.s_max_queue);
       ("reloads", int s.s_reloads);
       ("draining", J.Bool s.s_draining);
+      ("clients", int s.s_clients);
+      ("lingered", int s.s_lingered);
+      ("linger_ms", num s.s_linger_ms);
       ("models", J.Obj model_rows)
     ]

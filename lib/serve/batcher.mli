@@ -1,10 +1,21 @@
 (** Request-coalescing scheduler for the inference daemon.
 
     Connection threads {!submit} requests; a single executor thread
-    pops up to [max_batch] same-model requests that arrived within a
-    [max_wait_us] window and runs their density work as ONE batched
-    evaluation ({!Gen.log_density_batched}), de-multiplexing per-row
-    results back to the waiting callers.
+    pops up to [max_batch] queued same-model requests and runs their
+    density work as ONE batched evaluation
+    ({!Gen.log_density_batched}), de-multiplexing per-row results back
+    to the waiting callers.
+
+    {2 Lingering for company}
+
+    A caller that waits for its reply cannot send again, so the
+    executor waits for more rows only when they can come: while fewer
+    requests are queued than callers are declared through
+    {!with_client}, and fewer than [max_batch]. It waits at most
+    [max_wait_us], and each arrival or departing client wakes it. With
+    one declared client, or none (in-process callers of {!submit}), a
+    batch runs as soon as its first request lands; with two
+    closed-loop clients it runs when the second lands.
 
     {2 Bit-identity contract}
 
@@ -37,7 +48,9 @@ type t
 
 type cfg = {
   max_batch : int;  (** rows coalesced into one execution *)
-  max_wait_us : float;  (** how long the executor lingers for company *)
+  max_wait_us : float;
+      (** the longest a batch waits for a request that a declared client
+          can still send; 0 never waits *)
   queue_bound : int;  (** admission bound; beyond it -> [overloaded] *)
 }
 
@@ -92,15 +105,23 @@ val submit : t -> ?deadline_ms:float -> Proto.request -> outcome
     queue answers [overloaded], both without blocking. [Health], [Stats]
     and [Hello] are not queueable and answer [bad-request]. *)
 
+val with_client : t -> (unit -> 'a) -> 'a
+(** [with_client t f] runs [f] as one declared client: from its start
+    until it returns or raises, the executor counts one caller that can
+    still send a request (the daemon runs each connection's serve loop
+    inside it). Undeclared callers bring no company. *)
+
 (** {1 Lifecycle} *)
 
 val start : t -> unit
-(** Spawns the executor thread. Idempotent. *)
+(** Spawns the executor thread and opens the pipe that wakes it while it
+    lingers. Idempotent. *)
 
 val drain : t -> unit
 (** Stops admitting, lets the executor flush every queued request, then
-    joins it. Every request admitted before the drain gets a real
-    reply; requests submitted after it get [draining] errors. *)
+    joins it and closes its pipe. Every request admitted before the
+    drain gets a real reply; requests submitted after it get
+    [draining] errors. *)
 
 val draining : t -> bool
 
@@ -130,6 +151,9 @@ type stats = {
   s_max_queue : int;
   s_reloads : int;  (** checkpoint hot reloads *)
   s_draining : bool;
+  s_clients : int;  (** declared clients now ({!with_client}) *)
+  s_lingered : int;  (** batches that waited for company *)
+  s_linger_ms : float;  (** total time batches spent waiting *)
 }
 
 val stats : t -> stats

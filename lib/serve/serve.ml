@@ -26,9 +26,7 @@ type server = {
   t0 : float;
   want_drain : bool Atomic.t;
   lock : Mutex.t;
-  done_cond : Condition.t;
-  mutable live_conns : int;
-  mutable conn_fds : Unix.file_descr list;
+  mutable conn_fds : Unix.file_descr list;  (* open connections *)
   mutable accept_thread : Thread.t option;
   mutable drain_done : bool;
 }
@@ -170,13 +168,16 @@ let handle_conn s fd =
       in
       if send reply then serve_loop ()
   in
-  (if handshake () then serve_loop ());
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Mutex.lock s.lock;
-  s.live_conns <- s.live_conns - 1;
-  s.conn_fds <- List.filter (fun f -> f != fd) s.conn_fds;
-  Condition.broadcast s.done_cond;
-  Mutex.unlock s.lock
+  let close () =
+    Mutex.lock s.lock;
+    s.conn_fds <- List.filter (fun f -> f != fd) s.conn_fds;
+    Mutex.unlock s.lock;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  (* From its handshake until it closes, the connection is one client
+     the batcher may linger for. *)
+  Fun.protect ~finally:close (fun () ->
+      if handshake () then Batcher.with_client s.b serve_loop)
 
 let accept_loop s =
   let continue = ref true in
@@ -187,7 +188,6 @@ let accept_loop s =
       match Unix.accept s.lsock with
       | fd, _ ->
         Mutex.lock s.lock;
-        s.live_conns <- s.live_conns + 1;
         s.conn_fds <- fd :: s.conn_fds;
         Mutex.unlock s.lock;
         Obs.incr "serve/connections";
@@ -195,7 +195,11 @@ let accept_loop s =
       | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error (Unix.EBADF, _, _) -> continue := false
-  done
+  done;
+  (* Stop accepting: a client that connects after the drain request is
+     refused at once instead of waiting in the backlog for an accept
+     that never comes. *)
+  try Unix.close s.lsock with Unix.Unix_error _ -> ()
 
 let start cfg =
   let b =
@@ -224,8 +228,6 @@ let start cfg =
       t0 = Unix.gettimeofday ();
       want_drain = Atomic.make false;
       lock = Mutex.create ();
-      done_cond = Condition.create ();
-      live_conns = 0;
       conn_fds = [];
       accept_thread = None;
       drain_done = false;
@@ -256,11 +258,10 @@ let wait s =
     Thread.delay 0.05
   done;
   Option.iter Thread.join s.accept_thread;
-  (try Unix.close s.lsock with Unix.Unix_error _ -> ());
   Batcher.drain s.b;
   let deadline = Unix.gettimeofday () +. grace_s in
   Mutex.lock s.lock;
-  while s.live_conns > 0 && Unix.gettimeofday () < deadline do
+  while s.conn_fds <> [] && Unix.gettimeofday () < deadline do
     Mutex.unlock s.lock;
     Thread.delay 0.02;
     Mutex.lock s.lock

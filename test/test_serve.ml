@@ -708,6 +708,98 @@ let test_server_load_bit_identity () =
         (Serve.mismatches sequential concurrent))
 
 (* ------------------------------------------------------------------ *)
+(* Lingering only while company can come *)
+
+(* Blocks until the daemon counts [n] clients: a client's handshake
+   reply can reach it before the server thread declares it. *)
+let await_clients server n =
+  let b = Serve.batcher server in
+  let rec go tries =
+    if (Batcher.stats b).Batcher.s_clients <> n then
+      if tries = 0 then Alcotest.failf "the daemon never counted %d clients" n
+      else begin
+        Thread.delay 0.002;
+        go (tries - 1)
+      end
+  in
+  go 2500
+
+(* One chain score request; returns its round-trip seconds. *)
+let timed_score conn i =
+  let t0 = Unix.gettimeofday () in
+  (match Serve.Client.call conn (Serve.nth_request ~model:"chain" ~seed:1 (2 * i)) with
+  | Proto.R_value _ -> ()
+  | _ -> Alcotest.fail "expected a score value");
+  Unix.gettimeofday () -. t0
+
+let connect path = Serve.Client.connect (`Unix path)
+
+let test_lone_connection_never_waits () =
+  with_server ~max_wait_us:2e6 (fun path server ->
+      let conn = connect path in
+      await_clients server 1;
+      for i = 0 to 4 do
+        let dt = timed_score conn i in
+        if dt >= 0.5 then Alcotest.failf "request %d took %.3f s" i dt
+      done;
+      Serve.Client.close conn;
+      let s = Batcher.stats (Serve.batcher server) in
+      Alcotest.(check int) "no batch lingered" 0 s.Batcher.s_lingered)
+
+let test_company_ends_linger () =
+  with_server ~max_wait_us:2e6 (fun path server ->
+      let a = connect path and b = connect path in
+      await_clients server 2;
+      let times = Array.make 2 infinity in
+      let threads =
+        List.mapi
+          (fun k conn -> Thread.create (fun () -> times.(k) <- timed_score conn k) ())
+          [ a; b ]
+      in
+      List.iter Thread.join threads;
+      Serve.Client.close a;
+      Serve.Client.close b;
+      Array.iteri
+        (fun k dt -> if dt >= 0.5 then Alcotest.failf "client %d waited %.3f s" k dt)
+        times;
+      let s = Batcher.stats (Serve.batcher server) in
+      Alcotest.(check (pair int int)) "one batch of 2 rows" (1, 2)
+        (s.Batcher.s_batches, s.Batcher.s_rows))
+
+let test_idle_connection_bounds_wait () =
+  with_server ~max_wait_us:1e5 (fun path server ->
+      let active = connect path and silent = connect path in
+      await_clients server 2;
+      let dt = timed_score active 0 in
+      Serve.Client.close active;
+      Serve.Client.close silent;
+      if dt < 0.09 || dt >= 2. then
+        Alcotest.failf "answered after %.3f s, not within [0.09, 2) s" dt;
+      let s = Batcher.stats (Serve.batcher server) in
+      Alcotest.(check int) "the batch lingered" 1 s.Batcher.s_lingered;
+      if s.Batcher.s_linger_ms < 90. then
+        Alcotest.failf "linger_ms %.1f < 90" s.Batcher.s_linger_ms)
+
+let test_departing_connection_releases_batch () =
+  with_server ~max_wait_us:2e6 (fun path server ->
+      let active = connect path and leaving = connect path in
+      await_clients server 2;
+      let dt = ref infinity in
+      let th = Thread.create (fun () -> dt := timed_score active 0) () in
+      let b = Serve.batcher server in
+      let rec await_queued tries =
+        if (Batcher.stats b).Batcher.s_requests = 0 && tries > 0 then begin
+          Thread.delay 0.002;
+          await_queued (tries - 1)
+        end
+      in
+      await_queued 2500;
+      Serve.Client.close leaving;
+      Thread.join th;
+      Serve.Client.close active;
+      if !dt >= 0.5 then Alcotest.failf "answered after %.3f s" !dt)
+
+(* ------------------------------------------------------------------ *)
 (* Fault hooks in the serving path *)
 
 let test_fault_hook_in_admission () =
@@ -942,6 +1034,14 @@ let suites =
         Alcotest.test_case "drain loses zero accepted requests" `Quick
           test_server_drain_loses_nothing;
         Alcotest.test_case "socket load bit-identical to sequential" `Quick
-          test_server_load_bit_identity
+          test_server_load_bit_identity;
+        Alcotest.test_case "a lone connection never waits for the window"
+          `Quick test_lone_connection_never_waits;
+        Alcotest.test_case "company ends the linger" `Quick
+          test_company_ends_linger;
+        Alcotest.test_case "an idle open connection still bounds the wait"
+          `Quick test_idle_connection_bounds_wait;
+        Alcotest.test_case "a departing connection releases the batch" `Quick
+          test_departing_connection_releases_batch
       ] )
   ]
