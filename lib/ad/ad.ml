@@ -10,7 +10,16 @@ type t = {
      ever receive one — and a private buffer is made lazily when a
      second delta arrives. *)
   mutable g_owned : bool;
-  parents : (t * (Tensor.t -> Tensor.t)) array;
+  (* The inputs, in the order their deltas accumulate, and ONE
+     vector-Jacobian closure for all of them: [vjp g i] is the delta
+     for [parents.(i)] given this node's output gradient [g]. A leaf
+     has no parents. *)
+  parents : t array;
+  vjp : Tensor.t -> int -> Tensor.t;
+  (* The number of the last sweep that visited this node (see
+     [local_sweep]); 0 before any. Only interior nodes are marked, so
+     sweeps on different domains never write a shared constant leaf. *)
+  mutable mark : int;
   (* A rematerialization thunk for checkpoint-barrier nodes: replaying
      it rebuilds the discarded tape segment behind this node (see
      {!checkpoint}). [None] for ordinary nodes; the [parents] of a
@@ -90,33 +99,44 @@ let segment_pool : Tensor.Pool.t Domain.DLS.key =
 let replay_silencer : ((unit -> unit) -> unit) ref = ref (fun f -> f ())
 let set_replay_silencer s = replay_silencer := s
 
-let taped tl v parents =
+let no_vjp (g : Tensor.t) (_ : int) = g
+
+let taped tl v parents vjp =
   let id = Atomic.fetch_and_add counter 1 + 1 in
   track_new ();
   tl.created <- tl.created + 1;
-  { id; v; g = None; g_owned = false; parents = Array.of_list parents;
-    remat = None }
+  { id; v; g = None; g_owned = false; parents; vjp; mark = 0; remat = None }
 
 (* Op results built inside [primal] share this one-entry parent array:
    it keeps them from being leaves, and nothing ever reads it, because
    their ids are never positive. *)
 let detached =
-  [| ( { id = 0; v = Tensor.scalar 0.; g = None; g_owned = false;
-         parents = [||]; remat = None },
-       Fun.id ) |]
+  [| { id = 0; v = Tensor.scalar 0.; g = None; g_owned = false;
+       parents = [||]; vjp = no_vjp; mark = 0; remat = None } |]
 
 let untaped v =
-  { id = 0; v; g = None; g_owned = false; parents = detached; remat = None }
+  { id = 0; v; g = None; g_owned = false; parents = detached; vjp = no_vjp;
+    mark = 0; remat = None }
 
+(* [node v parents] for ops whose per-parent vjps come as a list: the
+   public {!custom} and the cold ops. The hot ops below build their
+   parent array and single closure directly. *)
 let node v parents =
   let tl = Domain.DLS.get tally in
-  if tl.primal then untaped v else taped tl v parents
+  if tl.primal then untaped v
+  else
+    match parents with
+    | [ (a, f) ] -> taped tl v [| a |] (fun g _ -> f g)
+    | _ ->
+      let ps = Array.of_list parents in
+      taped tl v (Array.map fst ps) (fun g i -> snd (Array.unsafe_get ps i) g)
 
 let const v =
   let tl = Domain.DLS.get tally in
   if tl.primal then
-    { id = 0; v; g = None; g_owned = false; parents = [||]; remat = None }
-  else taped tl v []
+    { id = 0; v; g = None; g_owned = false; parents = [||]; vjp = no_vjp;
+      mark = 0; remat = None }
+  else taped tl v [||] no_vjp
 
 let scalar x = const (Tensor.scalar x)
 let value t = t.v
@@ -166,12 +186,24 @@ let accumulate t delta =
     t.g <- Some (Tensor.add g delta);
     t.g_owned <- true
 
+(* Sweep numbers: each [local_sweep] takes a fresh one and marks the
+   interior nodes it lists with it, so "visited" is one field compare
+   and no table. Atomic because shard sweeps run on several domains. *)
+let sweeps = Atomic.make 0
+
+(* Whether a sweep lists [n]: a node with parents, or a remat barrier
+   (whose boundary may be empty). Leaves are never listed or marked —
+   they have nothing to visit, and their gradient arrives through
+   their consumers' vjps. *)
+let interior n = Array.length n.parents > 0 || Option.is_some n.remat
+
 (* [local_sweep ~stop root seed] seeds [root] with [seed] and runs the
    reverse sweep over every node reachable from it whose id is > [stop]
    — nodes at or below [stop] are treated as boundary leaves: deltas
    accumulate into them but their own parents are not traversed (the
    enclosing sweep owns them). [stop = 0] is a full backward. Returns
-   the number of nodes swept (they are retired by the caller).
+   the number of interior nodes swept (they are retired by the
+   caller).
 
    Topological order by DFS with an explicit stack — deep tapes (long
    training unrolls, large AIR step counts) must not overflow the
@@ -184,30 +216,43 @@ let accumulate t delta =
    private, so the reverse postorder groups them into the same
    contiguous blocks either way). *)
 let rec local_sweep ~stop root seed =
-  let visited = Hashtbl.create 64 in
-  let order = ref [] in
-  let swept = ref 0 in
-  let stack = ref [] in
-  let push n =
-    Hashtbl.add visited n.id ();
-    stack := (n, ref 0) :: !stack
+  let sweep = Atomic.fetch_and_add sweeps 1 + 1 in
+  (* The DFS stack (node, next parent index) lives in two arrays that
+     start small enough for the minor heap (most tapes are shallow);
+     the reverse postorder is a list. *)
+  let stack = ref (Array.make 64 root) and next = ref (Array.make 64 0) in
+  let depth = ref 0 in
+  let order = ref [] and swept = ref 0 in
+  let grow a fill =
+    let b = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
   in
-  push root;
-  let continue = ref true in
-  while !continue do
-    match !stack with
-    | [] -> continue := false
-    | (n, next_parent) :: rest ->
-      if !next_parent < Array.length n.parents then begin
-        let p, _ = n.parents.(!next_parent) in
-        incr next_parent;
-        if p.id > stop && not (Hashtbl.mem visited p.id) then push p
-      end
-      else begin
-        stack := rest;
-        order := n :: !order;
-        incr swept
-      end
+  let push n =
+    n.mark <- sweep;
+    if !depth = Array.length !stack then begin
+      stack := grow !stack root;
+      next := grow !next 0
+    end;
+    Array.unsafe_set !stack !depth n;
+    Array.unsafe_set !next !depth 0;
+    incr depth
+  in
+  if interior root then push root;
+  while !depth > 0 do
+    let top = !depth - 1 in
+    let n = Array.unsafe_get !stack top in
+    let i = Array.unsafe_get !next top in
+    if i < Array.length n.parents then begin
+      Array.unsafe_set !next top (i + 1);
+      let p = Array.unsafe_get n.parents i in
+      if p.id > stop && p.mark <> sweep && interior p then push p
+    end
+    else begin
+      depth := top;
+      order := n :: !order;
+      incr swept
+    end
   done;
   accumulate root seed;
   List.iter
@@ -218,25 +263,24 @@ let rec local_sweep ~stop root seed =
         match n.remat with
         | Some f -> replay f g
         | None ->
-          Array.iter
-            (fun (p, vjp) ->
-              if stop > 0 && p.id <= stop then begin
-                (* Boundary delta during a replay-local sweep: it
-                   outlives this replay's pool resets, so it must be
-                   an owned heap tensor. The vjp may return a pooled
-                   tensor unchanged (identity-style vjps pass [g]
-                   through), so copy defensively with no ambient
-                   pool. *)
-                let saved = Tensor.current_pool () in
-                Tensor.set_pool None;
-                (try accumulate p (Tensor.copy (vjp g))
-                 with e ->
-                   Tensor.set_pool saved;
-                   raise e);
-                Tensor.set_pool saved
-              end
-              else accumulate p (vjp g))
-            n.parents))
+          for i = 0 to Array.length n.parents - 1 do
+            let p = Array.unsafe_get n.parents i in
+            if stop > 0 && p.id <= stop then begin
+              (* Boundary delta during a replay-local sweep: it
+                 outlives this replay's pool resets, so it must be an
+                 owned heap tensor. The vjp may return a pooled tensor
+                 unchanged (identity-style vjps pass [g] through), so
+                 copy defensively with no ambient pool. *)
+              let saved = Tensor.current_pool () in
+              Tensor.set_pool None;
+              (try accumulate p (Tensor.copy (n.vjp g i))
+               with e ->
+                 Tensor.set_pool saved;
+                 raise e);
+              Tensor.set_pool saved
+            end
+            else accumulate p (n.vjp g i)
+          done))
     !order;
   !swept
 
@@ -300,8 +344,9 @@ let backward root =
   if not (Tensor.is_scalar root.v || Tensor.size root.v = 1) then
     invalid_arg "Ad.backward: root is not a scalar";
   let swept = local_sweep ~stop:0 root (Tensor.ones (Tensor.shape root.v)) in
-  (* The tape is consumed: every swept node retires (leaves included —
-     a fresh frame hands out fresh leaves next step). *)
+  (* The tape is consumed: every swept interior node retires. Leaves
+     are not swept, so they stay counted live; the training driver
+     resets the counters before each step. *)
   let tl = Domain.DLS.get tally in
   tl.retired <- tl.retired + swept;
   retire swept
@@ -365,7 +410,7 @@ let barrier ~pool f =
       | [] -> continue := false
       | (n, next_parent) :: rest ->
         if !next_parent < Array.length n.parents then begin
-          let p, _ = n.parents.(!next_parent) in
+          let p = n.parents.(!next_parent) in
           incr next_parent;
           if not (Hashtbl.mem visited p.id) then begin
             Hashtbl.add visited p.id ();
@@ -378,14 +423,12 @@ let barrier ~pool f =
     let produced = tl.created - created0 - (tl.retired - retired0) in
     tl.retired <- tl.retired + produced;
     retire produced;
-    let parents =
-      Array.of_list
-        (List.rev_map (fun b -> (b, fun (g : Tensor.t) -> g)) !boundary)
-    in
+    let parents = Array.of_list (List.rev !boundary) in
     let id = Atomic.fetch_and_add counter 1 + 1 in
     track_new ();
     tl.created <- tl.created + 1;
-    { id; v; g = None; g_owned = false; parents; remat = Some f }
+    { id; v; g = None; g_owned = false; parents; vjp = no_vjp; mark = 0;
+      remat = Some f }
   end
 
 (* Inside [primal] there is no tape to discard. *)
@@ -400,10 +443,11 @@ let grad t =
 let stop_grad t = const t.v
 let custom ~value ~parents = node value parents
 
-(* Sum a broadcast gradient back down to [target] shape. *)
-let unbroadcast target g =
-  if Tensor.shape g = target then g
+(* Sum a broadcast gradient back down to the shape of [x]. *)
+let unbroadcast x g =
+  if Tensor.same_shape g x then g
   else begin
+    let target = Tensor.shape x in
     let gs = Tensor.shape g in
     let rg = Array.length gs and rt = Array.length target in
     (* Sum out leading extra dims. *)
@@ -426,48 +470,66 @@ let unbroadcast target g =
   end
 
 (* The hot ops branch on the scope before building their parent
-   lists; the rest go through [node]. *)
-let binop f dfa dfb a b =
-  let v = f a.v b.v in
+   array and vjp closure; the rest go through [node]. *)
+let add a b =
+  let v = Tensor.add a.v b.v in
   let tl = Domain.DLS.get tally in
   if tl.primal then untaped v
   else
-    taped tl v
-      [ (a, fun g -> unbroadcast (Tensor.shape a.v) (dfa g));
-        (b, fun g -> unbroadcast (Tensor.shape b.v) (dfb g)) ]
+    taped tl v [| a; b |] (fun g i ->
+        if i = 0 then unbroadcast a.v g else unbroadcast b.v g)
 
-let add a b = binop Tensor.add (fun g -> g) (fun g -> g) a b
-let sub a b = binop Tensor.sub (fun g -> g) (fun g -> Tensor.neg g) a b
+let sub a b =
+  let v = Tensor.sub a.v b.v in
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v
+  else
+    taped tl v [| a; b |] (fun g i ->
+        if i = 0 then unbroadcast a.v g else unbroadcast b.v (Tensor.neg g))
 
 let mul a b =
-  binop Tensor.mul (fun g -> Tensor.mul g b.v) (fun g -> Tensor.mul g a.v) a b
+  let v = Tensor.mul a.v b.v in
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v
+  else
+    taped tl v [| a; b |] (fun g i ->
+        if i = 0 then unbroadcast a.v (Tensor.mul g b.v)
+        else unbroadcast b.v (Tensor.mul g a.v))
 
 let div a b =
-  binop Tensor.div
-    (fun g -> Tensor.div g b.v)
-    (fun g -> Tensor.neg (Tensor.div (Tensor.mul g a.v) (Tensor.mul b.v b.v)))
-    a b
+  let v = Tensor.div a.v b.v in
+  let tl = Domain.DLS.get tally in
+  if tl.primal then untaped v
+  else
+    taped tl v [| a; b |] (fun g i ->
+        if i = 0 then unbroadcast a.v (Tensor.div g b.v)
+        else
+          unbroadcast b.v
+            (Tensor.neg (Tensor.div (Tensor.mul g a.v) (Tensor.mul b.v b.v))))
 
 let unop f df a =
   let v = f a.v in
   let tl = Domain.DLS.get tally in
   if tl.primal then untaped v
-  else taped tl v [ (a, fun g -> Tensor.mul g (df a.v v)) ]
+  else taped tl v [| a |] (fun g _ -> Tensor.mul g (df a.v v))
 
 let neg a =
   let v = Tensor.neg a.v in
   let tl = Domain.DLS.get tally in
-  if tl.primal then untaped v else taped tl v [ (a, Tensor.neg) ]
+  if tl.primal then untaped v
+  else taped tl v [| a |] (fun g _ -> Tensor.neg g)
 
 let scale c a =
   let v = Tensor.scale c a.v in
   let tl = Domain.DLS.get tally in
-  if tl.primal then untaped v else taped tl v [ (a, Tensor.scale c) ]
+  if tl.primal then untaped v
+  else taped tl v [| a |] (fun g _ -> Tensor.scale c g)
 
 let add_scalar c a =
   let v = Tensor.add_scalar c a.v in
   let tl = Domain.DLS.get tally in
-  if tl.primal then untaped v else taped tl v [ (a, fun g -> g) ]
+  if tl.primal then untaped v else taped tl v [| a |] no_vjp
+
 (* The hot vjps use the specialized one-pass tensor kernels instead of
    closure maps (same float expressions, so every gradient bit is
    unchanged — see [Kernel]). *)
@@ -478,12 +540,8 @@ let sqrt a =
   unop Tensor.sqrt (fun _ v -> Tensor.div (Tensor.scalar 0.5) v) a
 
 let sigmoid a = unop Tensor.sigmoid (fun _ v -> Tensor.sigmoid_deriv v) a
-
-let tanh a = unop Tensor.tanh (fun _ v -> Tensor.map (fun s -> 1. -. (s *. s)) v) a
-
-let relu a =
-  unop Tensor.relu (fun x _ -> Tensor.map (fun xi -> if xi > 0. then 1. else 0.) x) a
-
+let tanh a = unop Tensor.tanh (fun _ v -> Tensor.tanh_deriv v) a
+let relu a = unop Tensor.relu (fun x _ -> Tensor.relu_deriv x) a
 let softplus a = unop Tensor.softplus (fun x _ -> Tensor.sigmoid x) a
 
 let log1p_exp = softplus
@@ -569,7 +627,7 @@ let bernoulli_logits_scores ~x logits =
   node v
     [ (logits,
        fun g ->
-         unbroadcast (Tensor.shape logits.v)
+         unbroadcast logits.v
            (Tensor.bernoulli_logits_scores_vjp ~sigma ~x ~g)) ]
 
 let log_softmax a =

@@ -73,8 +73,10 @@ val primal : (unit -> 'a) -> 'a
     Created-minus-retired node counts. Nodes retire when a
     {!checkpoint} barrier discards its segment, when a replayed
     segment's local sweep completes, and when {!backward} has consumed
-    a tape — so with remat barriers the {e peak} stops scaling with
-    the full tape length. All counters are process-wide and atomic. *)
+    a tape's interior nodes (its leaves stay counted until the next
+    {!reset_live_stats}) — so with remat barriers the {e peak} stops
+    scaling with the full tape length. All counters are process-wide
+    and atomic. *)
 
 val live_node_count : unit -> int
 (** Nodes currently accounted live (created minus retired) since the
@@ -122,9 +124,12 @@ val set_replay_silencer : ((unit -> unit) -> unit) -> unit
 (** {1 Differentiation} *)
 
 val backward : t -> unit
-(** Seed the (scalar) root with gradient 1 and backpropagate. Safe to
-    call once per graph. @raise Invalid_argument on a non-scalar root,
-    or a root built inside {!primal}. *)
+(** Seed the (scalar) root with gradient 1 and backpropagate, visiting
+    each interior node reachable from the root once. Safe to call once
+    per graph; a later call through nodes an earlier one reached
+    propagates everything they have accumulated. @raise
+    Invalid_argument on a non-scalar root, or a root built inside
+    {!primal}. *)
 
 val grad : t -> Tensor.t
 (** The gradient accumulated into this node by the last {!backward}

@@ -14,6 +14,35 @@ let score_function_surrogate ?(baseline = 0.) y lp =
   y
   + ((Ad.stop_grad y - Ad.scalar baseline) * (lp - Ad.stop_grad lp))
 
+(* The surrogate a REINFORCE site returns. When [lp] is a leaf, the
+   score term [(y - b) (lp - lp)] has no path to any parameter, so it
+   adds nothing to any gradient (a score-function term vanishes where
+   the density has no parameters); it is dropped when, computed in
+   floats, it would also leave every bit of [y]'s value as it is. A
+   NaN, an infinite value or -0.0 in [y], or a non-finite [lp], keeps
+   the full term. Constant-density sites (the uniform angle of the
+   cone's guide and reverse kernel) take this path. *)
+let reinforce_surrogate ?(baseline = 0.) y lp =
+  let lv = Ad.value lp and yv = Ad.value y in
+  let term_vanishes () =
+    let l = Tensor.to_scalar lv in
+    let rec go i =
+      i >= Tensor.size yv
+      ||
+      let yi = Tensor.get_flat yv i in
+      let bits = Int64.bits_of_float yi in
+      Float.is_finite yi
+      && (not (Int64.equal bits Int64.min_int))
+      && Int64.equal
+           (Int64.bits_of_float (yi +. ((yi -. baseline) *. (l -. l))))
+           bits
+      && go (i + 1)
+    in
+    go 0
+  in
+  if Ad.is_leaf lp && Tensor.rank lv = 0 && term_vanishes () then y
+  else score_function_surrogate ~baseline y lp
+
 exception Unshardable_site of string
 
 (* Domain-local site context. [detached]: MVD couplings evaluate the
@@ -115,7 +144,7 @@ let sample_at (addr : string) (d : 'a Dist.t) : 'a t =
     in
     let y = k x in
     if Obs.live () then record_site addr d (Tensor.to_scalar (Ad.value y));
-    score_function_surrogate y (d.log_density x)
+    reinforce_surrogate y (d.log_density x)
   | Dist.Reinforce_baseline _ when c.sharded ->
     raise (Unshardable_site (site_address addr d))
   | Dist.Reinforce_baseline cell ->
@@ -133,7 +162,7 @@ let sample_at (addr : string) (d : 'a Dist.t) : 'a t =
     Baseline.update cell (Tensor.to_scalar (Ad.value y));
     if Obs.live () then
       record_site addr d (Tensor.to_scalar (Ad.value y) -. b);
-    score_function_surrogate ~baseline:b y (d.log_density x)
+    reinforce_surrogate ~baseline:b y (d.log_density x)
   | Dist.Enum -> begin
     match d.support with
     | Some support ->

@@ -84,6 +84,13 @@ let project_int = function Value.Int i -> Some i | _ -> None
 let primal a = Tensor.to_scalar (Ad.value a)
 let log_2pi = Float.log (2. *. Float.pi)
 
+(* A [default] stands in for a value a trace lacks, on a path whose
+   weight is already -inf; nothing reads its gradient. Every
+   construction of a primitive makes one, so it is built untaped: no
+   id, no tape accounting, and not shared between tapes. *)
+let default_scalar x = Ad.primal (fun () -> Ad.scalar x)
+let default_zeros shape = Ad.primal (fun () -> Ad.const (Tensor.zeros shape))
+
 (* Clamp a probability-valued AD node away from 0/1 before taking logs.
    The clamp is a detached additive correction, so gradients are those of
    the unclamped value. *)
@@ -167,7 +174,7 @@ let normal_base ~strategy ?support ?reparam ?mvd mu sigma =
   in
   make ~name:"normal" ~strategy ~sample
     ~log_density:(log_density_normal ~mu ~sigma)
-    ~default:(Ad.scalar 0.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 0.) ~inject:inject_real ~project:project_real
     ?support ?reparam ?mvd ~meta:real_line
     ~batched:
       (batched_scalar ~sample
@@ -229,7 +236,7 @@ let uniform lo hi =
       let v = primal x in
       if v >= lo && v <= hi then Ad.scalar logd
       else Ad.scalar Float.neg_infinity)
-    ~default:(Ad.scalar lo) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar lo) ~inject:inject_real ~project:project_real
     ~meta:(real_interval lo hi)
     ~batched:
       (batched_scalar ~sample
@@ -266,7 +273,7 @@ let beta_reinforce a b =
       ((a - Ad.scalar 1.) * Ad.log x)
       + ((b - Ad.scalar 1.) * Ad.log (Ad.scalar 1. - x))
       - Special.log_beta a b)
-    ~default:(Ad.scalar 0.5) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 0.5) ~inject:inject_real ~project:project_real
     ~meta:(real_interval 0. 1.)
     ~batched:(batched_scalar ~sample ~log_density_n ())
     ()
@@ -284,7 +291,7 @@ let gamma_reinforce shape =
       let xv = Float.max (primal x) 1e-12 in
       let x = Ad.scalar xv in
       ((shape - Ad.scalar 1.) * Ad.log x) - x - Special.lgamma_ad shape)
-    ~default:(Ad.scalar 1.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 1.) ~inject:inject_real ~project:project_real
     ~meta:nonneg_reals
     ~batched:(batched_scalar ~sample ~log_density_n ())
     ()
@@ -313,7 +320,7 @@ let laplace_reparam loc scale =
     if u < 0. then Float.log (1. +. (2. *. u)) else -.Float.log (1. -. (2. *. u))
   in
   make ~name:"laplace" ~strategy:Reparam ~sample ~log_density
-    ~default:(Ad.scalar 0.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 0.) ~inject:inject_real ~project:project_real
     ~reparam:(fun key ->
       let u = Prng.uniform key -. 0.5 in
       Ad.O.(loc + (scale * Ad.scalar (laplace_m u))))
@@ -338,7 +345,7 @@ let logistic_reparam loc scale =
     Ad.neg z - Ad.log scale - Ad.scale 2. (Ad.softplus (Ad.neg z))
   in
   make ~name:"logistic" ~strategy:Reparam ~sample ~log_density
-    ~default:(Ad.scalar 0.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 0.) ~inject:inject_real ~project:project_real
     ~reparam:(fun key -> Ad.O.(loc + (scale * Ad.scalar (draw_logit key))))
     ~meta:real_line
     ~batched:
@@ -364,7 +371,7 @@ let lognormal_reparam mu sigma =
       let xv = Float.max (primal x) 1e-300 in
       let logx = Ad.scalar (Float.log xv) in
       Ad.O.(log_density_normal ~mu ~sigma logx - Ad.scalar (Float.log xv)))
-    ~default:(Ad.scalar 1.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 1.) ~inject:inject_real ~project:project_real
     ~reparam:(fun key ->
       let eps = Ad.scalar (Prng.normal key) in
       Ad.exp Ad.O.(mu + (sigma * eps)))
@@ -381,7 +388,7 @@ let exponential_reparam rate =
   let sample key = Ad.scalar (Prng.exponential key /. primal rate) in
   let log_density x = Ad.O.(Ad.log rate - (rate * x)) in
   make ~name:"exponential" ~strategy:Reparam ~sample ~log_density
-    ~default:(Ad.scalar 1.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 1.) ~inject:inject_real ~project:project_real
     ~reparam:(fun key -> Ad.div (Ad.scalar (Prng.exponential key)) rate)
     ~meta:nonneg_reals
     ~batched:
@@ -419,7 +426,7 @@ let student_t_reinforce df =
       - (half1
         * Ad.log (Ad.add_scalar 1. (Ad.scale (xv *. xv) (Ad.pow_scalar df (-1.)))))
       )
-    ~default:(Ad.scalar 0.) ~inject:inject_real ~project:project_real
+    ~default:(default_scalar 0.) ~inject:inject_real ~project:project_real
     ~meta:real_line
     ~batched:(batched_scalar ~sample ~log_density_n ())
     ()
@@ -454,7 +461,7 @@ let scaled_beta_reinforce ~lo ~hi a b =
       + ((b - Ad.scalar 1.) * Ad.log (Ad.scalar 1. - u))
       - Special.log_beta a b
       - Ad.scalar (Float.log width))
-    ~default:(Ad.scalar ((lo +. hi) /. 2.)) ~inject:inject_real
+    ~default:(default_scalar ((lo +. hi) /. 2.)) ~inject:inject_real
     ~project:project_real ~meta:(real_interval lo hi)
     ~batched:(batched_scalar ~sample ~log_density_n ())
     ()
@@ -671,7 +678,7 @@ let mv_normal_diag_base ~strategy ?reparam mean std =
     ~sample:(fun key ->
       Ad.const (Prng.normal_tensor_mean_std key (Ad.value mean) (Ad.value std)))
     ~log_density:(log_density_mv_normal_diag ~mean ~std)
-    ~default:(Ad.const (Tensor.zeros (Ad.shape mean)))
+    ~default:(default_zeros (Ad.shape mean))
     ~inject:inject_real ~project:project_real ?reparam ~meta:real_line
     ~batched:(batched_mv_normal_diag mean std) ()
 
@@ -725,7 +732,7 @@ let bernoulli_vector probs =
         (Tensor.map2 (fun ui pi -> if ui < pi then 1. else 0.) u
            (Ad.value probs)))
     ~log_density:(fun x -> Ad.sum (elementwise x))
-    ~default:(Ad.const (Tensor.zeros (Ad.shape probs)))
+    ~default:(default_zeros (Ad.shape probs))
     ~inject:inject_real ~project:project_real
     ~meta:{ continuous = false; static_support = Unit_hypercube }
     ~batched:(batched_bernoulli ~probs_of:Fun.id ~elementwise probs) ()
@@ -757,7 +764,7 @@ let bernoulli_logits_vector logits =
       if Ad.is_leaf x then
         Ad.sum (Ad.bernoulli_logits_scores ~x:(Ad.value x) logits)
       else log_density_bernoulli_logits ~logits x)
-    ~default:(Ad.const (Tensor.zeros (Ad.shape logits)))
+    ~default:(default_zeros (Ad.shape logits))
     ~inject:inject_real ~project:project_real
     ~meta:{ continuous = false; static_support = Unit_hypercube }
       (* The generic payload's [reduce_tail (elementwise x)] walks the

@@ -28,22 +28,39 @@ let () =
 (* Provenance registry: maps AD node ids of smooth (REPARAM-style)
    samples to the site that produced them, so a later smoothness error
    can name the same address the static analyzer would flag. The table
-   is bounded: when it grows past [max_origins] it is cleared (lookups
-   then miss and the error is simply un-attributed), so long training
-   runs cannot leak memory through it. *)
+   is direct-mapped on the id: a registration overwrites whatever held
+   its slot, so a lookup for an old enough id misses and the error is
+   simply un-attributed. Registering allocates nothing. A hash table
+   that kept one heap cell per smooth draw (up to 65536 of them, each
+   promoted to the major heap) made the GC's marking work grow with
+   the run; on scalar-site training that cost more than the sites'
+   arithmetic. *)
 
-let max_origins = 65536
-let origins : (int, string option * string) Hashtbl.t = Hashtbl.create 256
+let slots = 4096
+
+(* 0 marks an empty slot: taped ids start at 1, untaped ones are
+   negative. *)
+let origin_ids = Array.make slots 0
+let origin_has_address = Array.make slots false
+let origin_addresses = Array.make slots ""
+let origin_strategies = Array.make slots ""
 
 (* Registrations arrive from worker domains under the sharded training
-   driver; a mutex keeps the table coherent (lookups only happen on
-   error paths, where the lock cost is irrelevant). *)
+   driver; a mutex keeps each slot's fields coherent (lookups only
+   happen on error paths). *)
 let origins_mutex = Mutex.create ()
 
 let register_smooth_origin node ?address ~strategy () =
+  let id = Ad.id node in
+  let i = id land (slots - 1) in
   Mutex.lock origins_mutex;
-  if Hashtbl.length origins >= max_origins then Hashtbl.reset origins;
-  Hashtbl.replace origins (Ad.id node) (address, strategy);
+  origin_ids.(i) <- id;
+  (match address with
+  | Some a ->
+    origin_has_address.(i) <- true;
+    origin_addresses.(i) <- a
+  | None -> origin_has_address.(i) <- false);
+  origin_strategies.(i) <- strategy;
   Mutex.unlock origins_mutex
 
 let register_origin_value v ?address ~strategy () =
@@ -53,8 +70,16 @@ let register_origin_value v ?address ~strategy () =
   | Real _ | Bool _ | Int _ -> ()
 
 let smooth_origin node =
+  let id = Ad.id node in
+  let i = id land (slots - 1) in
   Mutex.lock origins_mutex;
-  let r = Hashtbl.find_opt origins (Ad.id node) in
+  let r =
+    if origin_ids.(i) = id then
+      Some
+        ( (if origin_has_address.(i) then Some origin_addresses.(i) else None),
+          origin_strategies.(i) )
+    else None
+  in
   Mutex.unlock origins_mutex;
   r
 

@@ -42,8 +42,9 @@ val smoothness_message : smoothness_info -> string
     A bounded side table from AD node ids to originating sample sites.
     [Adev.sample] registers every smooth (REPARAM) draw with its
     strategy; [Gen.simulate] re-registers it with the trace address. The
-    table is cleared when it exceeds a fixed size, so lookups may miss
-    (errors are then un-attributed) but memory use is bounded. *)
+    table has a fixed number of slots, indexed by id, and a registration
+    overwrites its slot, so lookups for old ids may miss (errors are
+    then un-attributed). Registering allocates nothing. *)
 
 val register_smooth_origin :
   Ad.t -> ?address:string -> strategy:string -> unit -> unit

@@ -203,17 +203,46 @@ module Plan = struct
   let seq_fallbacks p = p.p_seq_fallbacks
 end
 
+(* Weights inside the [simulate] / [density_in] walks are options:
+   [None] is the exact zero a [Return] contributes, so a [Bind] with
+   one such side passes the other weight through instead of taping an
+   add of a fresh zero leaf. The add stays when the other weight holds
+   a -0.0, because [0 + (-0)] is [+0]. A zero node is made only where a
+   program's whole weight is empty (never shared: a shared taped leaf
+   would collect gradient from every tape, concurrent shards
+   included). *)
+let has_neg_zero w =
+  let v = Ad.value w in
+  let rec go i =
+    i < Tensor.size v
+    && (Int64.equal (Int64.bits_of_float (Tensor.get_flat v i)) Int64.min_int
+       || go (i + 1))
+  in
+  go 0
+
+let bind_weight w1 w2 =
+  match (w1, w2) with
+  | Some a, Some b -> Some (Ad.add a b)
+  | None, None -> None
+  | Some a, None -> if has_neg_zero a then Some (Ad.add a (Ad.scalar 0.)) else w1
+  | None, Some b -> if has_neg_zero b then Some (Ad.add (Ad.scalar 0.) b) else w2
+
+let weight = function Some w -> w | None -> Ad.scalar 0.
+
 (* sim (Fig. 5, bottom): run the program through each primitive's
    strategy, building the trace and its log density. *)
 let rec simulate : type a. a t -> (a * Trace.t * Ad.t) Adev.t =
+ fun prog -> Adev.map (fun (x, u, w) -> (x, u, weight w)) (simulate_w prog)
+
+and simulate_w : type a. a t -> (a * Trace.t * Ad.t option) Adev.t =
  fun prog ->
   let open Adev.Syntax in
   match prog with
-  | Return x -> Adev.return (x, Trace.empty, Ad.scalar 0.)
+  | Return x -> Adev.return (x, Trace.empty, None)
   | Bind (m, f) ->
-    let* x, u1, w1 = simulate m in
-    let* y, u2, w2 = simulate (f x) in
-    Adev.return (y, Trace.union_disjoint u1 u2, Ad.add w1 w2)
+    let* x, u1, w1 = simulate_w m in
+    let* y, u2, w2 = simulate_w (f x) in
+    Adev.return (y, Trace.union_disjoint u1 u2, bind_weight w1 w2)
   | Sample (d, name) ->
     let* x = Adev.sample_at name d in
     let v = d.Dist.inject x in
@@ -221,45 +250,55 @@ let rec simulate : type a. a t -> (a * Trace.t * Ad.t) Adev.t =
        made, so smoothness errors can name the sample site. *)
     Value.register_origin_value v
       ~address:name ~strategy:(Dist.strategy_name d.Dist.strategy) ();
-    Adev.return (x, Trace.singleton name v, timed_density d x)
+    Adev.return (x, Trace.singleton name v, Some (timed_density d x))
   | Observe (d, v) ->
     let lw = timed_density d v in
     let* () = Adev.score_log lw in
-    Adev.return ((), Trace.empty, lw)
-  | Marginal (keep, inner, alg) -> simulate_marginal keep inner alg
-  | Normalize (inner, alg) -> simulate_normalize inner alg
-  | Plate (n, body) -> simulate_plate n body
+    Adev.return ((), Trace.empty, Some lw)
+  | Marginal (keep, inner, alg) ->
+    Adev.map (fun (x, u, w) -> (x, u, Some w)) (simulate_marginal keep inner alg)
+  | Normalize (inner, alg) ->
+    Adev.map (fun (x, u, w) -> (x, u, Some w)) (simulate_normalize inner alg)
+  | Plate (n, body) ->
+    Adev.map (fun (x, u, w) -> (x, u, Some w)) (simulate_plate n body)
 
 (* density's xi helper (Fig. 5, top): consume trace values, accumulate
    log density, return the remainder. *)
 and density_in : type a. a t -> Trace.t -> (Ad.t * a * Trace.t) Adev.t =
+ fun prog u -> Adev.map (fun (w, x, r) -> (weight w, x, r)) (density_in_w prog u)
+
+and density_in_w : type a. a t -> Trace.t -> (Ad.t option * a * Trace.t) Adev.t =
  fun prog u ->
   let open Adev.Syntax in
   match prog with
-  | Return x -> Adev.return (Ad.scalar 0., x, u)
+  | Return x -> Adev.return (None, x, u)
   | Bind (m, f) ->
-    let* w1, x, u1 = density_in m u in
-    let* w2, y, u2 = density_in (f x) u1 in
-    Adev.return (Ad.add w1 w2, y, u2)
+    let* w1, x, u1 = density_in_w m u in
+    let* w2, y, u2 = density_in_w (f x) u1 in
+    Adev.return (bind_weight w1 w2, y, u2)
   | Sample (d, name) -> begin
     match Trace.find_opt name u with
     | Some v -> begin
       match d.Dist.project v with
-      | Some x -> Adev.return (timed_density d x, x, Trace.remove name u)
-      | None -> Adev.return (neg_inf, d.Dist.default, Trace.remove name u)
+      | Some x -> Adev.return (Some (timed_density d x), x, Trace.remove name u)
+      | None -> Adev.return (Some neg_inf, d.Dist.default, Trace.remove name u)
     end
-    | None -> Adev.return (neg_inf, d.Dist.default, u)
+    | None -> Adev.return (Some neg_inf, d.Dist.default, u)
   end
-  | Observe (d, v) -> Adev.return (timed_density d v, (), u)
-  | Marginal (keep, inner, alg) -> density_marginal keep inner alg u
-  | Normalize (inner, alg) -> density_normalize inner alg u
-  | Plate (n, body) -> density_plate n body u
+  | Observe (d, v) -> Adev.return (Some (timed_density d v), (), u)
+  | Marginal (keep, inner, alg) ->
+    Adev.map (fun (w, x, r) -> (Some w, x, r)) (density_marginal keep inner alg u)
+  | Normalize (inner, alg) ->
+    Adev.map (fun (w, x, r) -> (Some w, x, r)) (density_normalize inner alg u)
+  | Plate (n, body) ->
+    Adev.map (fun (w, x, r) -> (Some w, x, r)) (density_plate n body u)
 
 and log_density : type a. a t -> Trace.t -> Ad.t Adev.t =
  fun prog u ->
   let open Adev.Syntax in
-  let* w, _, remainder = density_in prog u in
-  if Trace.is_empty remainder then Adev.return w else Adev.return neg_inf
+  let* w, _, remainder = density_in_w prog u in
+  if Trace.is_empty remainder then Adev.return (weight w)
+  else Adev.return neg_inf
 
 and log_density_prefix : type a. a t -> Trace.t -> Ad.t Adev.t =
  fun prog u ->

@@ -8,8 +8,12 @@
      the reference loop (ascending inner index), and zero left-operand
      elements are skipped exactly where the reference skipped them.
 
-   Blocks only pay off above a size threshold; below it everything runs
-   as a plain inline loop. *)
+   Blocks only pay off above a size threshold. Below [elt_min] an
+   elementwise kernel does no dispatch at all: it calls its loop
+   directly, never reaching [Parallel.run], so [Parallel.jobs_run]
+   counts elementwise fan-outs and matrix products only. Matrix
+   kernels below [work_min] run their one block through
+   [Parallel.run] inline. *)
 
 (* Elements per parallel block for elementwise kernels. *)
 let elt_block = 16_384
@@ -27,14 +31,6 @@ let col_tile = 128
 (* Minimum multiply-adds before a matrix kernel fans out. *)
 let work_min = 1 lsl 15
 
-let elt_blocks n = if n < elt_min then 1 else (n + elt_block - 1) / elt_block
-
-let elt_range n nb bi =
-  if nb = 1 then (0, n)
-  else
-    let lo = bi * elt_block in
-    (lo, Stdlib.min n (lo + elt_block))
-
 let row_blocks m work =
   if work < work_min || m <= row_block then 1 else (m + row_block - 1) / row_block
 
@@ -44,251 +40,312 @@ let row_range m nb bi =
     let lo = bi * row_block in
     (lo, Stdlib.min m (lo + row_block))
 
-(* Elementwise *)
+(* Elementwise.
+
+   Each kernel's loop is written once, as a top-level [*_range]
+   function over [lo, hi). Below [elt_min] elements the kernel calls it
+   directly on the whole array — no closure, no [Parallel.run], no
+   atomics — so a rank-0 or small op costs a call and its loop. At or
+   above [elt_min], [fan] splits the array into [elt_block] blocks
+   through the pool, which pays on large arrays (EXPERIMENTS.md times
+   [exp] and [tanh] at 147 456 elements on one and two domains). *)
+
+let fan n range =
+  let nb = (n + elt_block - 1) / elt_block in
+  Parallel.run ~blocks:nb (fun bi ->
+      let lo = bi * elt_block in
+      range lo (Stdlib.min n (lo + elt_block)))
+
+let map_range f src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (f (Array.unsafe_get src i))
+  done
 
 let map_into f src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (f (Array.unsafe_get src i))
-      done)
+  if n < elt_min then map_range f src dst 0 n
+  else fan n (fun lo hi -> map_range f src dst lo hi)
 
 (* Specialized elementwise kernels. Without flambda, [map_into f ...]
    boxes two floats per element to cross the unknown closure [f] — on a
    [256 x 144] operand that is ~1.8 MB of garbage for a 0.3 MB result.
    The named kernels below inline the exact float expression the
    generic path computed (same operations, same order, bit-identical
-   results) into the block loop, so the hot elementwise ops allocate
-   nothing beyond their output. *)
+   results) into the loop, so the hot elementwise ops allocate nothing
+   beyond their output. A builder taking the float op as an argument
+   would reintroduce the closure; each loop is written out so the float
+   op is a known call. *)
 
-(* A builder taking the float op as an argument would reintroduce the
-   closure; each kernel is written out so the float op is a known call. *)
+let exp_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Float.exp (Array.unsafe_get src i))
+  done
 
 let exp_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Float.exp (Array.unsafe_get src i))
-      done)
+  if n < elt_min then exp_range src dst 0 n
+  else fan n (fun lo hi -> exp_range src dst lo hi)
+
+let log_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Float.log (Array.unsafe_get src i))
+  done
 
 let log_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Float.log (Array.unsafe_get src i))
-      done)
+  if n < elt_min then log_range src dst 0 n
+  else fan n (fun lo hi -> log_range src dst lo hi)
+
+let sqrt_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Float.sqrt (Array.unsafe_get src i))
+  done
 
 let sqrt_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Float.sqrt (Array.unsafe_get src i))
-      done)
+  if n < elt_min then sqrt_range src dst 0 n
+  else fan n (fun lo hi -> sqrt_range src dst lo hi)
+
+let neg_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (-.(Array.unsafe_get src i))
+  done
 
 let neg_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (-.(Array.unsafe_get src i))
-      done)
+  if n < elt_min then neg_range src dst 0 n
+  else fan n (fun lo hi -> neg_range src dst lo hi)
+
+let scale_map_range c src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c *. Array.unsafe_get src i)
+  done
 
 let scale_map_into c src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c *. Array.unsafe_get src i)
-      done)
+  if n < elt_min then scale_map_range c src dst 0 n
+  else fan n (fun lo hi -> scale_map_range c src dst lo hi)
+
+let add_scalar_range c src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c +. Array.unsafe_get src i)
+  done
 
 let add_scalar_into c src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c +. Array.unsafe_get src i)
-      done)
+  if n < elt_min then add_scalar_range c src dst 0 n
+  else fan n (fun lo hi -> add_scalar_range c src dst lo hi)
+
+let sigmoid_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i
+      (1. /. (1. +. Float.exp (-.(Array.unsafe_get src i))))
+  done
 
 let sigmoid_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i
-          (1. /. (1. +. Float.exp (-.(Array.unsafe_get src i))))
-      done)
+  if n < elt_min then sigmoid_range src dst 0 n
+  else fan n (fun lo hi -> sigmoid_range src dst lo hi)
+
+let tanh_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Float.tanh (Array.unsafe_get src i))
+  done
 
 let tanh_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Float.tanh (Array.unsafe_get src i))
-      done)
+  if n < elt_min then tanh_range src dst 0 n
+  else fan n (fun lo hi -> tanh_range src dst lo hi)
+
+let relu_range src dst lo hi =
+  for i = lo to hi - 1 do
+    let x = Array.unsafe_get src i in
+    Array.unsafe_set dst i (if x > 0. then x else 0.)
+  done
 
 let relu_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        let x = Array.unsafe_get src i in
-        Array.unsafe_set dst i (if x > 0. then x else 0.)
-      done)
+  if n < elt_min then relu_range src dst 0 n
+  else fan n (fun lo hi -> relu_range src dst lo hi)
 
 (* Same >30 cutoff as the historical [Tensor.softplus] closure. *)
+let softplus_range src dst lo hi =
+  for i = lo to hi - 1 do
+    let x = Array.unsafe_get src i in
+    Array.unsafe_set dst i
+      (if x > 30. then x else Float.log (1. +. Float.exp x))
+  done
+
 let softplus_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        let x = Array.unsafe_get src i in
-        Array.unsafe_set dst i
-          (if x > 30. then x else Float.log (1. +. Float.exp x))
-      done)
+  if n < elt_min then softplus_range src dst 0 n
+  else fan n (fun lo hi -> softplus_range src dst lo hi)
+
+let recip_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (1. /. Array.unsafe_get src i)
+  done
 
 let recip_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (1. /. Array.unsafe_get src i)
-      done)
+  if n < elt_min then recip_range src dst 0 n
+  else fan n (fun lo hi -> recip_range src dst lo hi)
+
+let sigmoid_deriv_range src dst lo hi =
+  for i = lo to hi - 1 do
+    let s = Array.unsafe_get src i in
+    Array.unsafe_set dst i (s *. (1. -. s))
+  done
 
 let sigmoid_deriv_into src dst =
   let n = Array.length src in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        let s = Array.unsafe_get src i in
-        Array.unsafe_set dst i (s *. (1. -. s))
-      done)
+  if n < elt_min then sigmoid_deriv_range src dst 0 n
+  else fan n (fun lo hi -> sigmoid_deriv_range src dst lo hi)
+
+(* [1 - s^2] over tanh outputs, the [tanh] vjp. *)
+let tanh_deriv_range src dst lo hi =
+  for i = lo to hi - 1 do
+    let s = Array.unsafe_get src i in
+    Array.unsafe_set dst i (1. -. (s *. s))
+  done
+
+let tanh_deriv_into src dst =
+  let n = Array.length src in
+  if n < elt_min then tanh_deriv_range src dst 0 n
+  else fan n (fun lo hi -> tanh_deriv_range src dst lo hi)
+
+(* The [relu] vjp's 0/1 mask (subgradient 0 at the kink). *)
+let relu_deriv_range src dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (if Array.unsafe_get src i > 0. then 1. else 0.)
+  done
+
+let relu_deriv_into src dst =
+  let n = Array.length src in
+  if n < elt_min then relu_deriv_range src dst 0 n
+  else fan n (fun lo hi -> relu_deriv_range src dst lo hi)
+
+let add2_range a b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i +. Array.unsafe_get b i)
+  done
 
 let add2_into a b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i +. Array.unsafe_get b i)
-      done)
+  if n < elt_min then add2_range a b dst 0 n
+  else fan n (fun lo hi -> add2_range a b dst lo hi)
+
+let sub2_range a b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i -. Array.unsafe_get b i)
+  done
 
 let sub2_into a b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i -. Array.unsafe_get b i)
-      done)
+  if n < elt_min then sub2_range a b dst 0 n
+  else fan n (fun lo hi -> sub2_range a b dst lo hi)
+
+let mul2_range a b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i *. Array.unsafe_get b i)
+  done
 
 let mul2_into a b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i *. Array.unsafe_get b i)
-      done)
+  if n < elt_min then mul2_range a b dst 0 n
+  else fan n (fun lo hi -> mul2_range a b dst lo hi)
+
+let div2_range a b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i /. Array.unsafe_get b i)
+  done
 
 let div2_into a b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i /. Array.unsafe_get b i)
-      done)
+  if n < elt_min then div2_range a b dst 0 n
+  else fan n (fun lo hi -> div2_range a b dst lo hi)
 
 (* Scalar legs of a broadcast binary op: [a OP c] and [c OP b]. *)
 
+let add_const_range a c dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i +. c)
+  done
+
 let add_const_into a c dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i +. c)
-      done)
+  if n < elt_min then add_const_range a c dst 0 n
+  else fan n (fun lo hi -> add_const_range a c dst lo hi)
+
+let const_add_range c b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c +. Array.unsafe_get b i)
+  done
 
 let const_add_into c b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c +. Array.unsafe_get b i)
-      done)
+  if n < elt_min then const_add_range c b dst 0 n
+  else fan n (fun lo hi -> const_add_range c b dst lo hi)
+
+let sub_const_range a c dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i -. c)
+  done
 
 let sub_const_into a c dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i -. c)
-      done)
+  if n < elt_min then sub_const_range a c dst 0 n
+  else fan n (fun lo hi -> sub_const_range a c dst lo hi)
+
+let const_sub_range c b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c -. Array.unsafe_get b i)
+  done
 
 let const_sub_into c b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c -. Array.unsafe_get b i)
-      done)
+  if n < elt_min then const_sub_range c b dst 0 n
+  else fan n (fun lo hi -> const_sub_range c b dst lo hi)
+
+let mul_const_range a c dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i *. c)
+  done
 
 let mul_const_into a c dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i *. c)
-      done)
+  if n < elt_min then mul_const_range a c dst 0 n
+  else fan n (fun lo hi -> mul_const_range a c dst lo hi)
+
+let const_mul_range c b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c *. Array.unsafe_get b i)
+  done
 
 let const_mul_into c b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c *. Array.unsafe_get b i)
-      done)
+  if n < elt_min then const_mul_range c b dst 0 n
+  else fan n (fun lo hi -> const_mul_range c b dst lo hi)
+
+let div_const_range a c dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get a i /. c)
+  done
 
 let div_const_into a c dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get a i /. c)
-      done)
+  if n < elt_min then div_const_range a c dst 0 n
+  else fan n (fun lo hi -> div_const_range a c dst lo hi)
+
+let const_div_range c b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c /. Array.unsafe_get b i)
+  done
 
 let const_div_into c b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c /. Array.unsafe_get b i)
-      done)
+  if n < elt_min then const_div_range c b dst 0 n
+  else fan n (fun lo hi -> const_div_range c b dst lo hi)
 
 (* Row-broadcast legs: [a : rows x n] OP [b : n], and the flipped
    orientation. Same loop structure as the [row_broadcast] case of
@@ -334,48 +391,52 @@ let row_div_into a b n dst =
     done
   done
 
+
+let map2_range f a b dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (f (Array.unsafe_get a i) (Array.unsafe_get b i))
+  done
+
 let map2_into f a b dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (f (Array.unsafe_get a i) (Array.unsafe_get b i))
-      done)
+  if n < elt_min then map2_range f a b dst 0 n
+  else fan n (fun lo hi -> map2_range f a b dst lo hi)
 
 let fill dst x =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      Array.fill dst lo (hi - lo) x)
+  if n < elt_min then Array.fill dst 0 n x
+  else fan n (fun lo hi -> Array.fill dst lo (hi - lo) x)
+
+let scale_range c dst lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (c *. Array.unsafe_get dst i)
+  done
 
 let scale_into c dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (c *. Array.unsafe_get dst i)
-      done)
+  if n < elt_min then scale_range c dst 0 n
+  else fan n (fun lo hi -> scale_range c dst lo hi)
+
+let add_range dst src lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get dst i +. Array.unsafe_get src i)
+  done
 
 let add_into dst src =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set dst i (Array.unsafe_get dst i +. Array.unsafe_get src i)
-      done)
+  if n < elt_min then add_range dst src 0 n
+  else fan n (fun lo hi -> add_range dst src lo hi)
+
+let axpy_range alpha x y lo hi =
+  for i = lo to hi - 1 do
+    Array.unsafe_set y i (Array.unsafe_get y i +. (alpha *. Array.unsafe_get x i))
+  done
 
 let axpy_into alpha x y =
   let n = Array.length y in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      for i = lo to hi - 1 do
-        Array.unsafe_set y i (Array.unsafe_get y i +. (alpha *. Array.unsafe_get x i))
-      done)
+  if n < elt_min then axpy_range alpha x y 0 n
+  else fan n (fun lo hi -> axpy_range alpha x y lo hi)
+
 
 (* Broadcast map. Each block re-derives its starting operand offsets
    from its flat output index, then walks forward with the same
@@ -415,20 +476,19 @@ let walk_range f a sa b sb out_shape dst lo hi =
   done
   end
 
+
 let broadcast_map2_into f a sa b sb out_shape dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      walk_range f a sa b sb out_shape dst lo hi)
+  if n < elt_min then walk_range f a sa b sb out_shape dst 0 n
+  else fan n (fun lo hi -> walk_range f a sa b sb out_shape dst lo hi)
 
+(* Reuse the pair walker with the source on both legs. *)
 let broadcast_copy_into src sst out_shape dst =
   let n = Array.length dst in
-  let nb = elt_blocks n in
-  Parallel.run ~blocks:nb (fun bi ->
-      let lo, hi = elt_range n nb bi in
-      (* Reuse the pair walker with the source on both legs. *)
-      walk_range (fun x _ -> x) src sst src sst out_shape dst lo hi)
+  if n < elt_min then walk_range (fun x _ -> x) src sst src sst out_shape dst 0 n
+  else
+    fan n (fun lo hi ->
+        walk_range (fun x _ -> x) src sst src sst out_shape dst lo hi)
 
 (* Matrix products.
 

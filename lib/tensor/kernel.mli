@@ -39,7 +39,8 @@ val axpy_into : float -> float array -> float array -> unit
     two floats per element; these kernels inline the exact float
     expression of the corresponding closure (bit-identical results, no
     allocation beyond the output). All follow the same block
-    partitioning as [map_into]. Unary kernels take [src dst]; binary
+    partitioning as [map_into], and below 32 768 elements run their loop
+    directly, without [Parallel.run]. Unary kernels take [src dst]; binary
     [a b dst] (equal lengths); [*_const] take the scalar leg as a
     float; [row_*] take [a] ([rows*n]), [b] ([n]) and the row width. *)
 
@@ -58,6 +59,12 @@ val recip_into : float array -> float array -> unit
 
 val sigmoid_deriv_into : float array -> float array -> unit
 (** [s *. (1. -. s)] over sigmoid outputs, the [sigmoid] vjp. *)
+
+val tanh_deriv_into : float array -> float array -> unit
+(** [1. -. s *. s] over tanh outputs, the [tanh] vjp. *)
+
+val relu_deriv_into : float array -> float array -> unit
+(** [if x > 0. then 1. else 0.] over relu inputs, the [relu] vjp. *)
 
 val add2_into : float array -> float array -> float array -> unit
 val sub2_into : float array -> float array -> float array -> unit

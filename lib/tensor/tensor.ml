@@ -24,6 +24,16 @@ let strides shape =
 
 let mk shape data = { shape; data; st = strides shape }
 
+(* Shape equality without the polymorphic compare. *)
+let shape_equal (a : int array) (b : int array) =
+  a == b
+  ||
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (Array.unsafe_get a i = Array.unsafe_get b i && go (i + 1)) in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Buffer pool.
 
@@ -206,7 +216,7 @@ let eye n = init [| n; n |] (fun ix -> if ix.(0) = ix.(1) then 1. else 0.)
 let shape t = Array.copy t.shape
 let rank t = Array.length t.shape
 let size t = Array.length t.data
-let same_shape a b = a.shape = b.shape
+let same_shape a b = shape_equal a.shape b.shape
 let get t ix = t.data.(flat_index t.shape t.st ix)
 let get_flat t i = t.data.(i)
 
@@ -228,7 +238,7 @@ let fill_ t x = Kernel.fill t.data x
 let scale_ c t = Kernel.scale_into c t.data
 
 let require_same_shape name dst src =
-  if dst.shape <> src.shape then
+  if not (shape_equal dst.shape src.shape) then
     shape_error "%s: %a vs %a" name pp_shape dst.shape pp_shape src.shape
 
 let add_ dst src =
@@ -332,7 +342,7 @@ let row_broadcast a b =
   && Array.length b.data > 0
 
 let map2 f a b =
-  if a.shape = b.shape then begin
+  if shape_equal a.shape b.shape then begin
     let out = alloc (Array.length a.data) in
     Kernel.map2_into f a.data b.data out;
     { a with data = out }
@@ -389,7 +399,23 @@ let broadcast_to t out_shape =
    flambda a [float -> float] closure call boxes its argument and result,
    which on the training hot path costs more in allocation (and GC) than
    the arithmetic itself. Results are bit-identical — the kernels inline
-   the exact float expressions the closures computed. *)
+   the exact float expressions the closures computed.
+
+   Rank-0 operands (scalar sites: most of a cone or chain step) take a
+   fast path ahead of any shape compare or kernel call: one float,
+   computed with the kernel's exact expression, into a one-element
+   buffer — from the ambient pool when one is installed, like every op
+   output. *)
+
+let rank0 t = Array.length t.shape = 0
+
+let scalar_like t x =
+  match Domain.DLS.get pool_key with
+  | None -> { t with data = [| x |] }
+  | Some p ->
+    let data = Pool.alloc p 1 in
+    Array.unsafe_set data 0 x;
+    { t with data }
 
 let unary k t =
   let out = alloc (Array.length t.data) in
@@ -401,7 +427,7 @@ let unary k t =
    cover the dispatch cases; exotic broadcasts fall back to the generic
    strided walk with the op as a closure. *)
 let binary ~same ~aconst ~consta ~row ~f a b =
-  if a.shape = b.shape then begin
+  if shape_equal a.shape b.shape then begin
     let out = alloc (Array.length a.data) in
     same a.data b.data out;
     { a with data = out }
@@ -433,35 +459,94 @@ let binary ~same ~aconst ~consta ~row ~f a b =
     mk out_shape data
   end
 
-let add =
-  binary ~same:Kernel.add2_into ~aconst:Kernel.add_const_into
-    ~consta:Kernel.const_add_into ~row:Kernel.row_add_into ~f:( +. )
+(* [x0 a] / [x0 b] read a rank-0 operand's float. *)
+let x0 t = Array.unsafe_get t.data 0
 
-let sub =
-  binary ~same:Kernel.sub2_into ~aconst:Kernel.sub_const_into
-    ~consta:Kernel.const_sub_into ~row:Kernel.row_sub_into ~f:( -. )
+let add a b =
+  if rank0 a && rank0 b then scalar_like a (x0 a +. x0 b)
+  else
+    binary ~same:Kernel.add2_into ~aconst:Kernel.add_const_into
+      ~consta:Kernel.const_add_into ~row:Kernel.row_add_into ~f:( +. ) a b
 
-let mul =
-  binary ~same:Kernel.mul2_into ~aconst:Kernel.mul_const_into
-    ~consta:Kernel.const_mul_into ~row:Kernel.row_mul_into ~f:( *. )
+let sub a b =
+  if rank0 a && rank0 b then scalar_like a (x0 a -. x0 b)
+  else
+    binary ~same:Kernel.sub2_into ~aconst:Kernel.sub_const_into
+      ~consta:Kernel.const_sub_into ~row:Kernel.row_sub_into ~f:( -. ) a b
 
-let div =
-  binary ~same:Kernel.div2_into ~aconst:Kernel.div_const_into
-    ~consta:Kernel.const_div_into ~row:Kernel.row_div_into ~f:( /. )
+let mul a b =
+  if rank0 a && rank0 b then scalar_like a (x0 a *. x0 b)
+  else
+    binary ~same:Kernel.mul2_into ~aconst:Kernel.mul_const_into
+      ~consta:Kernel.const_mul_into ~row:Kernel.row_mul_into ~f:( *. ) a b
 
-let neg = unary Kernel.neg_into
-let scale c = unary (Kernel.scale_map_into c)
-let add_scalar c = unary (Kernel.add_scalar_into c)
-let pow_scalar t p = map (fun x -> Float.pow x p) t
-let exp = unary Kernel.exp_into
-let log = unary Kernel.log_into
-let sqrt = unary Kernel.sqrt_into
-let sigmoid = unary Kernel.sigmoid_into
-let tanh = unary Kernel.tanh_into
-let relu = unary Kernel.relu_into
-let softplus = unary Kernel.softplus_into
-let recip = unary Kernel.recip_into
-let sigmoid_deriv = unary Kernel.sigmoid_deriv_into
+let div a b =
+  if rank0 a && rank0 b then scalar_like a (x0 a /. x0 b)
+  else
+    binary ~same:Kernel.div2_into ~aconst:Kernel.div_const_into
+      ~consta:Kernel.const_div_into ~row:Kernel.row_div_into ~f:( /. ) a b
+
+let neg t =
+  if rank0 t then scalar_like t (-.(x0 t)) else unary Kernel.neg_into t
+
+let scale c t =
+  if rank0 t then scalar_like t (c *. x0 t)
+  else unary (Kernel.scale_map_into c) t
+
+let add_scalar c t =
+  if rank0 t then scalar_like t (c +. x0 t)
+  else unary (Kernel.add_scalar_into c) t
+
+let pow_scalar t p =
+  if rank0 t then scalar_like t (Float.pow (x0 t) p)
+  else map (fun x -> Float.pow x p) t
+
+let exp t = if rank0 t then scalar_like t (Float.exp (x0 t)) else unary Kernel.exp_into t
+let log t = if rank0 t then scalar_like t (Float.log (x0 t)) else unary Kernel.log_into t
+
+let sqrt t =
+  if rank0 t then scalar_like t (Float.sqrt (x0 t)) else unary Kernel.sqrt_into t
+
+let sigmoid t =
+  if rank0 t then scalar_like t (1. /. (1. +. Float.exp (-.(x0 t))))
+  else unary Kernel.sigmoid_into t
+
+let tanh t =
+  if rank0 t then scalar_like t (Float.tanh (x0 t)) else unary Kernel.tanh_into t
+
+let relu t =
+  if rank0 t then begin
+    let x = x0 t in
+    scalar_like t (if x > 0. then x else 0.)
+  end
+  else unary Kernel.relu_into t
+
+let softplus t =
+  if rank0 t then begin
+    let x = x0 t in
+    scalar_like t (if x > 30. then x else Float.log (1. +. Float.exp x))
+  end
+  else unary Kernel.softplus_into t
+
+let recip t = if rank0 t then scalar_like t (1. /. x0 t) else unary Kernel.recip_into t
+
+let sigmoid_deriv t =
+  if rank0 t then begin
+    let s = x0 t in
+    scalar_like t (s *. (1. -. s))
+  end
+  else unary Kernel.sigmoid_deriv_into t
+
+let tanh_deriv t =
+  if rank0 t then begin
+    let s = x0 t in
+    scalar_like t (1. -. (s *. s))
+  end
+  else unary Kernel.tanh_deriv_into t
+
+let relu_deriv t =
+  if rank0 t then scalar_like t (if x0 t > 0. then 1. else 0.)
+  else unary Kernel.relu_deriv_into t
 
 let clip ~min ~max t =
   map (fun x -> if x < min then min else if x > max then max else x) t

@@ -156,6 +156,14 @@ val sigmoid_deriv : t -> t
 (** Elementwise [s *. (1. -. s)] over sigmoid {e outputs} — the
     [sigmoid] vjp, in one pass. *)
 
+val tanh_deriv : t -> t
+(** Elementwise [1. -. s *. s] over tanh {e outputs} — the [tanh] vjp,
+    in one pass. *)
+
+val relu_deriv : t -> t
+(** Elementwise [if x > 0. then 1. else 0.] over relu {e inputs} — the
+    [relu] vjp, in one pass. *)
+
 val clip : min:float -> max:float -> t -> t
 
 val global_norm : t list -> float

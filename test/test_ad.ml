@@ -310,9 +310,53 @@ let prop_random_expression =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_random_expression; prop_primal_bits ]
 
+(* [backward] sweeps each interior node once, however many paths reach
+   it: a diamond over [t] reused [k] times hands [t] its deltas once
+   each, and [t] passes their sum on once. Swept interior nodes retire;
+   the leaf stays counted live. *)
+let test_backward_visits_once () =
+  List.iter
+    (fun k ->
+      Ad.reset_live_stats ();
+      let x = Ad.scalar 0.5 in
+      let t = Ad.scale 2. x in
+      let d = Ad.add (Ad.exp t) (Ad.mul t t) in
+      let root = Ad.add_list (List.init k (fun _ -> d)) in
+      (* t, exp, mul, the diamond's add, and k - 1 adds over it. *)
+      let interior = 4 + (k - 1) in
+      Alcotest.(check int) "live before" (interior + 1) (Ad.live_node_count ());
+      Ad.backward root;
+      (* d d / d x = 2 (exp 2x + 4x) per use, at x = 0.5. *)
+      let want = 2. *. ((float_of_int k *. Float.exp 1.) +. float_of_int (2 * k)) in
+      Alcotest.(check (float 1e-12))
+        (Printf.sprintf "grad x, k = %d" k)
+        want
+        (Tensor.to_scalar (Ad.grad x));
+      Alcotest.(check int) "live after" 1 (Ad.live_node_count ()))
+    [ 1; 2; 5 ]
+
+(* Two [backward] calls in a row over graphs sharing the interior node
+   [y = x * x]. The second sweep must enter [y] again, whatever the
+   first one marked it with; as with any node, [y] then passes on all
+   it has accumulated (3 from the first root, 1 from the second). *)
+let test_backward_overlapping_sweeps () =
+  let x = Ad.scalar 2. in
+  let y = Ad.mul x x in
+  Ad.backward (Ad.scale 3. y);
+  let g t = Tensor.to_scalar (Ad.grad t) in
+  Alcotest.(check (float 0.)) "first: y" 3. (g y);
+  Alcotest.(check (float 0.)) "first: x = 3 * 2x" 12. (g x);
+  Ad.backward (Ad.add y x);
+  Alcotest.(check (float 0.)) "second: y = 3 + 1" 4. (g y);
+  Alcotest.(check (float 0.)) "second: x = 12 + 1 + 4 * 2x" 29. (g x)
+
 let suites =
   [ ( "ad",
       [ Alcotest.test_case "unary grads" `Quick test_unary_grads;
+        Alcotest.test_case "backward visits each interior node once" `Quick
+          test_backward_visits_once;
+        Alcotest.test_case "overlapping backward calls" `Quick
+          test_backward_overlapping_sweeps;
         Alcotest.test_case "binary grads" `Quick test_binary_grads;
         Alcotest.test_case "mul both sides" `Quick test_both_sides_of_mul;
         Alcotest.test_case "broadcast grads" `Quick test_broadcast_grad;

@@ -398,6 +398,123 @@ let prop_strategies_agree =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_enum_exact; prop_strategies_agree ]
 
+(* ------------------------------------------------------------------ *)
+(* A REINFORCE site whose log density is a leaf returns the
+   continuation's value itself: its score term has no path to any
+   parameter. Checked against the full-term build, which a log density
+   wrapped in a (value-preserving) [add_scalar 0.] node forces. *)
+
+let with_full_term (d : 'a Dist.t) =
+  { d with Dist.log_density = (fun x -> Ad.add_scalar 0. (d.Dist.log_density x)) }
+
+let bits x = Int64.bits_of_float x
+
+(* [run_site d k] samples [d] at one REINFORCE site; returns the
+   surrogate and whether it is the continuation's own node. *)
+let run_site d k =
+  let y_node = ref None in
+  let s =
+    Adev.run (Adev.sample d) (Prng.key 5) (fun x ->
+        let y = k x in
+        y_node := Some y;
+        y)
+  in
+  (s, match !y_node with Some y -> s == y | None -> false)
+
+let test_constant_density_score_term () =
+  let build uniform =
+    let theta = Ad.scalar 0.75 in
+    let s, is_y = run_site (uniform 0. 2.) (fun x -> Ad.mul theta (Ad.exp x)) in
+    Ad.backward s;
+    (s, is_y, Ad.grad theta)
+  in
+  let s, is_y, g = build Dist.uniform in
+  let s', is_y', g' = build (fun lo hi -> with_full_term (Dist.uniform lo hi)) in
+  Alcotest.(check bool) "leaf density: y itself" true is_y;
+  Alcotest.(check bool) "full-term build" false is_y';
+  Alcotest.(check bool) "surrogate bits" true
+    (Int64.equal (bits (Ad.to_float s)) (bits (Ad.to_float s')));
+  Alcotest.(check bool) "gradient bits" true
+    (Int64.equal (bits (Tensor.to_scalar g)) (bits (Tensor.to_scalar g')));
+  (* y = -inf: the full term's value is not y's (it is a NaN), so the
+     term stays. *)
+  let s, is_y =
+    run_site (Dist.uniform 0. 2.) (fun x -> Ad.add x (Ad.scalar Float.neg_infinity))
+  in
+  Alcotest.(check bool) "y = -inf keeps the term" false is_y;
+  Alcotest.(check bool) "y = -inf surrogate is the full term's NaN" true
+    (Float.is_nan (Ad.to_float s));
+  (* A density with parameters keeps its term. *)
+  let a = Ad.scalar 1.5 and b = Ad.scalar 2. in
+  let _, is_y =
+    run_site (Dist.scaled_beta_reinforce ~lo:0. ~hi:1. a b) (fun x -> Ad.mul x x)
+  in
+  Alcotest.(check bool) "parametric density keeps the term" false is_y
+
+(* Cone IWHVI, DIWHVI and IWHVI with the learned reverse kernel, built
+   with the guide's and reverse kernel's uniform angle as is and with
+   its score terms forced: same surrogate bits, same bits in every
+   parameter gradient. *)
+let test_cone_score_terms_keep_bits () =
+  let two_pi = 2. *. Float.pi in
+  let pos rho = Ad.add_scalar 1e-3 (Ad.softplus rho) in
+  let guide_joint uniform frame =
+    let open Gen.Syntax in
+    let p = Store.Frame.get frame in
+    let radius = pos (p "cone.joint.radius") in
+    let spread = pos (p "cone.joint.spread") in
+    let* v = Gen.sample (uniform 0. two_pi) "v" in
+    let vf = Gen.rigid v in
+    let* _ =
+      Gen.sample (Dist.normal_reparam (Ad.scale (Float.cos vf) radius) spread) "x"
+    in
+    let* _ =
+      Gen.sample (Dist.normal_reparam (Ad.scale (Float.sin vf) radius) spread) "y"
+    in
+    Gen.return ()
+  in
+  let reverse uniform _ = Gen.Packed (Gen.sample (uniform 0. two_pi) "v") in
+  let objectives uniform frame =
+    let keep = [ "x"; "y" ] and model = Cone.model in
+    [ ( "IWHVI(5)",
+        Objectives.hvi ~keep ~reverse:(reverse uniform) ~aux_particles:5 ~model
+          ~guide_joint:(guide_joint uniform frame) () );
+      ( "DIWHVI(5,5)",
+        Objectives.diwhvi ~particles:5 ~keep ~reverse:(reverse uniform)
+          ~aux_particles:5 ~model ~guide_joint:(guide_joint uniform frame) );
+      ( "IWHVI+learned(3)",
+        Objectives.hvi ~keep ~reverse:(Cone.reverse_kernel_learned frame)
+          ~aux_particles:3 ~model ~guide_joint:(guide_joint uniform frame) () ) ]
+  in
+  let store = Store.create () in
+  Cone.register store (Prng.key 0);
+  let run uniform i key =
+    let frame = Store.Frame.make store in
+    let _, obj = List.nth (objectives uniform frame) i in
+    let s = Adev.expectation obj key in
+    Ad.backward s;
+    ( bits (Ad.to_float s),
+      List.map
+        (fun (name, g) -> (name, Array.map bits (Tensor.to_array g)))
+        (Store.Frame.grads frame) )
+  in
+  let full lo hi = with_full_term (Dist.uniform lo hi) in
+  List.iteri
+    (fun i (name, _) ->
+      for seed = 0 to 9 do
+        let key = Prng.fold_in (Prng.key 41) seed in
+        let v, gs = run Dist.uniform i key and v', gs' = run full i key in
+        if not (Int64.equal v v') then
+          Alcotest.failf "%s seed %d: surrogate %Lx, full term %Lx" name seed v v';
+        Alcotest.(check int) (name ^ " parameters") (List.length gs') (List.length gs);
+        List.iter2
+          (fun (n, g) (n', g') ->
+            if n <> n' || g <> g' then
+              Alcotest.failf "%s seed %d: gradient of %s differs" name seed n)
+          gs gs'
+      done)
+    (objectives Dist.uniform (Store.Frame.make store))
+
 let suites =
   [ ( "adev",
       [ Alcotest.test_case "reparam normal" `Slow test_reparam_normal;
@@ -430,5 +547,9 @@ let suites =
         Alcotest.test_case "forward flip mvd" `Quick test_forward_flip_mvd;
         Alcotest.test_case "forward normal mvd" `Slow test_forward_normal_mvd;
         Alcotest.test_case "forward reparam" `Slow test_forward_reparam;
-        Alcotest.test_case "forward score" `Quick test_forward_score ]
+        Alcotest.test_case "forward score" `Quick test_forward_score;
+        Alcotest.test_case "constant-density site drops its score term" `Quick
+          test_constant_density_score_term;
+        Alcotest.test_case "cone score terms keep their bits" `Quick
+          test_cone_score_terms_keep_bits ]
       @ qcheck_cases ) ]

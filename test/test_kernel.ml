@@ -550,11 +550,64 @@ let prop_adam_one_pass =
       && Tensor.to_scalar (List.assoc "t.w" state)
          = float_of_int (t0 + List.length gs))
 
+(* ------------------------------------------------------------------ *)
+(* Rank-0 operands skip the kernels: every named op computes its one
+   float directly. It must have the bits the kernel loop gives the same
+   op on [1]-shaped operands, on the edge values too. *)
+
+let edge_floats =
+  [ 0.; -0.; Float.infinity; Float.neg_infinity; Float.nan; 4.9e-324;
+    -4.9e-324; 2.2250738585072009e-308; Float.min_float; Float.max_float;
+    -.Float.max_float; 1.; -1.; 0.5; 30.; 30.000000000000004; -745.2; 710. ]
+
+let edge_float_gen =
+  QCheck.Gen.(
+    frequency
+      [ (3, oneofl edge_floats);
+        (2, float);
+        (2, float_range (-40.) 40.) ])
+
+let prop_rank0_matches_kernels =
+  let unary =
+    [ ("neg", Tensor.neg); ("scale", Tensor.scale (-1.5));
+      ("add_scalar", Tensor.add_scalar 0.25);
+      ("pow_scalar", fun t -> Tensor.pow_scalar t 2.5); ("exp", Tensor.exp);
+      ("log", Tensor.log); ("sqrt", Tensor.sqrt); ("sigmoid", Tensor.sigmoid);
+      ("tanh", Tensor.tanh); ("relu", Tensor.relu);
+      ("softplus", Tensor.softplus); ("recip", Tensor.recip);
+      ("sigmoid_deriv", Tensor.sigmoid_deriv);
+      ("tanh_deriv", Tensor.tanh_deriv); ("relu_deriv", Tensor.relu_deriv) ]
+  and binary =
+    [ ("add", Tensor.add); ("sub", Tensor.sub); ("mul", Tensor.mul);
+      ("div", Tensor.div) ]
+  in
+  let bits t = Int64.bits_of_float (Tensor.get_flat t 0) in
+  let one x = Tensor.of_array [| 1 |] [| x |] in
+  QCheck.Test.make ~name:"rank-0 ops keep the kernels' bits" ~count:500
+    (QCheck.make
+       ~print:(fun (x, y) -> Printf.sprintf "%h, %h" x y)
+       QCheck.Gen.(pair edge_float_gen edge_float_gen))
+    (fun (x, y) ->
+      List.for_all
+        (fun (name, f) ->
+          let r = f (Tensor.scalar x) in
+          Tensor.rank r = 0
+          && (Int64.equal (bits r) (bits (f (one x)))
+             || QCheck.Test.fail_reportf "%s %h" name x))
+        unary
+      && List.for_all
+           (fun (name, f) ->
+             let r = f (Tensor.scalar x) (Tensor.scalar y) in
+             Tensor.rank r = 0
+             && (Int64.equal (bits r) (bits (f (one x) (one y)))
+                || QCheck.Test.fail_reportf "%s %h %h" name x y))
+           binary)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_matmul_matches_ref; prop_matvec_matches_ref;
       prop_matmul_t_matches_transpose; prop_map2_matches_ref;
-      prop_bodies_match_refs; prop_adam_one_pass ]
+      prop_bodies_match_refs; prop_adam_one_pass; prop_rank0_matches_kernels ]
 
 let suites =
   [ ( "kernel",

@@ -671,10 +671,22 @@ let test_server_drain_loses_nothing () =
     else
       let caught =
         with_server (fun path server ->
+            (* Drain once the daemon has answered a request (at most
+               10 s of polling), so at least one client has a reply
+               however slowly the load starts. *)
             let drainer =
               Thread.create
                 (fun () ->
-                  Thread.delay 0.01;
+                  let answered () =
+                    (Batcher.stats (Serve.batcher server)).Batcher.s_replies >= 1
+                  in
+                  let rec wait tries =
+                    if (not (answered ())) && tries > 0 then begin
+                      Thread.delay 0.001;
+                      wait (tries - 1)
+                    end
+                  in
+                  wait 10_000;
                   Serve.request_drain server)
                 ()
             in

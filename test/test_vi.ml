@@ -470,6 +470,35 @@ let test_vae_training_keeps_bits () =
     Alcotest.failf "digest %Lx over %d values, pinned %Lx" digest
       (List.length values) pin
 
+(* The same for `ppvi cone --objective diwhvi --steps 200 --seed 3`:
+   scalar sites under nested marginal/importance, so every Gen weight,
+   ADEV surrogate and tape node of the interpreter path feeds these
+   bits. The pin was taken with a Hashtbl-visited backward sweep, a
+   closure per tape parent, kernel-dispatched rank-0 ops, full score
+   terms at constant-density REINFORCE sites and an add per [Return]
+   weight. *)
+let test_cone_diwhvi_training_keeps_bits () =
+  let kind = Cone.Diwhvi (5, 5) in
+  let store, reports = Cone.train ~steps:200 kind (Prng.key 3) in
+  Alcotest.(check int) "reports" 200 (List.length reports);
+  let names = Store.names store in
+  Alcotest.(check int) "parameters" 8 (List.length names);
+  let values =
+    List.map (fun r -> r.Train.objective) reports
+    @ List.concat_map
+        (fun name -> Array.to_list (Tensor.to_array (Store.tensor store name)))
+        names
+  in
+  let digest =
+    List.fold_left
+      (fun h x -> Int64.(add (mul h 1099511628211L) (bits_of_float x)))
+      0xcbf29ce484222325L values
+  in
+  let pin = 0x782753cba745b649L in
+  if digest <> pin then
+    Alcotest.failf "digest %Lx over %d values, pinned %Lx" digest
+      (List.length values) pin
+
 let suites =
   [ ( "vi",
       [ Alcotest.test_case "sgd step" `Quick test_sgd_step;
@@ -507,4 +536,6 @@ let suites =
         Alcotest.test_case "estimates keep their bits" `Quick
           test_estimates_keep_bits;
         Alcotest.test_case "vae training keeps its bits" `Quick
-          test_vae_training_keeps_bits ] ) ]
+          test_vae_training_keeps_bits;
+        Alcotest.test_case "cone DIWHVI training keeps its bits" `Quick
+          test_cone_diwhvi_training_keeps_bits ] ) ]
